@@ -99,8 +99,7 @@ class DsfModule:
 
     def summaries(self, X: NDArray) -> NDArray:
         """Spatial summaries of a (B, C, T) batch; no gradient flows here."""
-        return np.stack([compute_summary(self.cfg.summary_kind, x).values
-                         for x in X])
+        return compute_summary(self.cfg.summary_kind, X)
 
     def filters_from_summary(self, phi: NDArray, store: ParamStore
                              ) -> tuple[NDArray, NDArray]:

@@ -6,15 +6,13 @@ regression classifier built on the nn stack, and recording-wise
 aggregation helpers.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
-from .linalg import (matrix_exp_eig, matrix_log_eig, oas_shrink,
-                     sample_covariance, vec_upper)
+from .linalg import (check_finite, matrix_exp_eig, matrix_log_eig,
+                     oas_shrink, sample_covariance, vec_upper)
 from .nn import (Dense, ParamStore, TrainConfig, adamw_step, cosine_lr,
-                 softmax_xent)
+                 softmax, softmax_xent)
 
 RIEMANN_BANDS = ((0.1, 1.5), (1.5, 4.0), (4.0, 8.0), (8.0, 15.0),
                  (15.0, 26.0), (26.0, 35.0), (35.0, 49.0))
@@ -34,12 +32,6 @@ HANDCRAFTED_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    schema: str  # "riemann" or "handcrafted"
-    values: NDArray
-
-
 def riemann_length(n_channels: int) -> int:
     return len(RIEMANN_BANDS) * n_channels * (n_channels + 1) // 2
 
@@ -49,49 +41,39 @@ def handcrafted_length(n_channels: int) -> int:
 
 
 def bandpass_filterbank(X: NDArray, sfreq: float,
-                        bands=RIEMANN_BANDS) -> list[NDArray]:
-    """Zero-phase brick-wall band filters: zero DFT bins outside each band."""
+                        bands=RIEMANN_BANDS) -> NDArray:
+    """Zero-phase brick-wall band filters: zero DFT bins outside each band.
+
+    Maps (..., C, T) windows to (..., n_bands, C, T).
+    """
     X = np.asarray(X, dtype=np.float64)
     T = X.shape[-1]
     nyquist = sfreq / 2.0
-    spec = np.fft.rfft(X, axis=-1)
-    freqs = np.fft.rfftfreq(T, d=1.0 / sfreq)
-    out = []
     for f_lo, f_hi in bands:
         if f_hi > nyquist:
             raise ValueError(f"band ({f_lo}, {f_hi}) Hz exceeds Nyquist "
                              f"{nyquist} Hz")
-        keep = (freqs >= f_lo) & (freqs <= f_hi)
-        out.append(np.fft.irfft(spec * keep, n=T, axis=-1))
-    return out
-
-
-def riemann_features(X: NDArray, sfreq: float) -> FeatureVector:
-    """Per band: upper triangle of logm of the OAS-shrunk covariance;
-    concatenated over the 7 bands."""
-    X = np.asarray(X, dtype=np.float64)
-    T = X.shape[1]
-    parts = []
-    for Xb in bandpass_filterbank(X, sfreq):
-        S = oas_shrink(sample_covariance(Xb), T).matrix
-        parts.append(vec_upper(matrix_log_eig(S)))
-    return FeatureVector(schema="riemann", values=np.concatenate(parts))
+    spec = np.fft.rfft(X, axis=-1)[..., None, :, :]
+    freqs = np.fft.rfftfreq(T, d=1.0 / sfreq)
+    lo, hi = np.asarray(bands, dtype=np.float64).T
+    keep = (freqs >= lo[:, None]) & (freqs <= hi[:, None])  # (n_bands, F)
+    return np.fft.irfft(spec * keep[:, None, :], n=T, axis=-1)
 
 
 def band_cov_stack(X: NDArray, sfreq: float) -> NDArray:
-    """Per-band OAS-shrunk covariance matrices, shape (n_bands, C, C)."""
+    """Per-band OAS-shrunk covariances of (..., C, T) windows, shape
+    (..., n_bands, C, C)."""
     X = np.asarray(X, dtype=np.float64)
-    T = X.shape[1]
-    return np.stack([
-        oas_shrink(sample_covariance(Xb), T).matrix
-        for Xb in bandpass_filterbank(X, sfreq)
-    ])
+    check_finite(X, "window")
+    return oas_shrink(sample_covariance(bandpass_filterbank(X, sfreq)),
+                      X.shape[-1])
 
 
-def riemann_vectorize(covs: NDArray) -> FeatureVector:
-    """Vectorize a stack of per-band covariance matrices."""
-    parts = [vec_upper(matrix_log_eig(S)) for S in covs]
-    return FeatureVector(schema="riemann", values=np.concatenate(parts))
+def riemann_vectorize(covs: NDArray) -> NDArray:
+    """Upper triangles of the matrix logs of (..., n_bands, C, C) per-band
+    covariances, concatenated over bands: (..., n_bands * C(C+1)/2)."""
+    vecs = vec_upper(matrix_log_eig(covs))
+    return vecs.reshape(*vecs.shape[:-2], -1)
 
 
 def _channel_features(x: NDArray, sfreq: float) -> list[float]:
@@ -131,12 +113,12 @@ def _channel_features(x: NDArray, sfreq: float) -> list[float]:
             float(zero_crossings)]
 
 
-def handcrafted_features(X: NDArray, sfreq: float) -> FeatureVector:
-    """Fixed per-channel statistics concatenated over channels; any
-    non-finite entries are left for fit-time mean imputation."""
+def handcrafted_features(X: NDArray, sfreq: float) -> NDArray:
+    """Fixed per-channel statistics of one (C, T) window, concatenated over
+    channels; any non-finite entries are left for fit-time mean
+    imputation."""
     X = np.asarray(X, dtype=np.float64)
-    values = np.concatenate([_channel_features(ch, sfreq) for ch in X])
-    return FeatureVector(schema="handcrafted", values=values)
+    return np.concatenate([_channel_features(ch, sfreq) for ch in X])
 
 
 def impute_fit(features: NDArray) -> NDArray:
@@ -197,28 +179,26 @@ class LogisticRegression:
         return self
 
     def predict_proba(self, features: NDArray) -> NDArray:
-        logits = self.layer.forward(features, self.store)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expd = np.exp(shifted)
-        return expd / expd.sum(axis=1, keepdims=True)
+        return softmax(self.layer.forward(features, self.store))
 
     def predict(self, features: NDArray) -> NDArray:
         return np.argmax(self.predict_proba(features), axis=1)
 
 
-def aggregate_recording(items: list[NDArray], method: str) -> NDArray:
-    """Collapse window-level items into one recording-level item.
+def aggregate_recording(items, method: str) -> NDArray:
+    """Collapse window-level items, stacked along the first axis, into one
+    recording-level item.
 
     logm_mean: log-Euclidean geometric mean of SPD matrices (exp of the
-    mean of matrix logs). median: elementwise. prob_mean: mean of
-    probability rows.
+    mean of matrix logs); items may be (n_windows, ..., C, C), e.g. one
+    matrix per band. median: elementwise. prob_mean: mean of probability
+    rows.
     """
-    if not items:
+    if len(items) == 0:
         raise ValueError("nothing to aggregate")
-    stack = np.stack([np.asarray(it, dtype=np.float64) for it in items])
+    stack = np.asarray(items, dtype=np.float64)
     if method == "logm_mean":
-        logs = np.stack([matrix_log_eig(S) for S in stack])
-        return matrix_exp_eig(logs.mean(axis=0))
+        return matrix_exp_eig(matrix_log_eig(stack).mean(axis=0))
     if method == "median":
         return np.median(stack, axis=0)
     if method == "prob_mean":

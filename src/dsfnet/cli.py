@@ -8,17 +8,14 @@ series matrix-log error curve as CSV.
 """
 
 import argparse
-import csv
-import os
 import sys
-import tempfile
 
 import numpy as np
 
 from .config import load_experiment_config
 from .harness import (DEEP_MODELS, DSF_MODELS, ExperimentConfig,
                       FeatureModel, inspect_filters, run_sweep,
-                      train_model_unit)
+                      train_model_unit, write_csv_atomic)
 from .corruption import CorruptionSpec
 from .linalg import matrix_log_eig, matrix_log_taylor, oas_shrink, \
     sample_covariance
@@ -101,17 +98,14 @@ def cmd_inspect(args) -> int:
 def taylor_error_curve(windows, n_terms_grid):
     """Median/mean relative error of the truncated-series matrix log
     against the eigendecomposition value, per term count."""
-    covs = [oas_shrink(sample_covariance(X), X.shape[1]).matrix
-            for X in windows]
-    exact = [matrix_log_eig(S) for S in covs]
+    X = np.asarray(windows, dtype=np.float64)
+    covs = oas_shrink(sample_covariance(X), X.shape[-1])
+    exact = matrix_log_eig(covs)
+    exact_norm = np.linalg.norm(exact, 2, axis=(-2, -1))
     curve = []
     for n in n_terms_grid:
-        errs = []
-        for S, L in zip(covs, exact):
-            approx = matrix_log_taylor(S, n)
-            errs.append(np.linalg.norm(L - approx, 2)
-                        / np.linalg.norm(L, 2))
-        errs = np.asarray(errs)
+        approx = matrix_log_taylor(covs, n)
+        errs = np.linalg.norm(exact - approx, 2, axis=(-2, -1)) / exact_norm
         curve.append((n, float(np.median(errs)), float(errs.mean()),
                       float(errs.std())))
     return curve
@@ -121,20 +115,10 @@ def cmd_taylor_bench(args) -> int:
     data_cfg, _ = _load_configs(args)
     ds = generate_dataset(data_cfg, args.seed)
     windows = np.concatenate([r.windows for r in ds.recordings])
-    windows = windows[:args.n_windows]
     grid = sorted(set(int(n) for n in args.terms.split(",")))
-    curve = taylor_error_curve(list(windows), grid)
-
-    directory = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".csv.tmp")
-    with os.fdopen(fd, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["n_terms", "median_rel_error", "mean_rel_error",
-                         "std_rel_error"])
-        for row in curve:
-            writer.writerow(row)
-    os.replace(tmp, args.out)
+    curve = taylor_error_curve(windows[:args.n_windows], grid)
+    write_csv_atomic(args.out, [("n_terms", "median_rel_error",
+                                 "mean_rel_error", "std_rel_error"), *curve])
     for n, med, mean, std in curve:
         print(f"n={n:3d}  median {med:.4f}  mean {mean:.4f}  std {std:.4f}")
     return 0

@@ -25,7 +25,7 @@ from .baselines import (LogisticRegression, aggregate_recording,
 from .corruption import CorruptionSpec, augment_batch, corrupt_recording
 from .interp import INTERP_KINDS, InterpModule
 from .nn import (ParamStore, ShallowNet, ShallowNetConfig, TrainConfig,
-                 adamw_step, cosine_lr, softmax_xent)
+                 adamw_step, cosine_lr, softmax, softmax_xent)
 from .seeding import derive_seed, rng_for
 from .synth import Dataset, Recording
 
@@ -163,10 +163,7 @@ class DeepModel:
             self.front.clamp_diagonal(self.store)
 
     def predict_proba(self, X: NDArray) -> NDArray:
-        logits = self.forward(X)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expd = np.exp(shifted)
-        return expd / expd.sum(axis=1, keepdims=True)
+        return softmax(self.forward(X))
 
 
 @dataclass
@@ -278,15 +275,11 @@ class FeatureModel:
         self.n_classes = n_classes
         self.seed = seed
 
-    def _recording_features(self, windows) -> NDArray:
+    def _recording_features(self, windows: NDArray) -> NDArray:
         if self.kind == "riemann":
-            covs = [band_cov_stack(X, self.sfreq) for X in windows]
-            agg = np.stack([
-                aggregate_recording([c[b] for c in covs], "logm_mean")
-                for b in range(covs[0].shape[0])
-            ])
-            return riemann_vectorize(agg).values
-        feats = [handcrafted_features(X, self.sfreq).values for X in windows]
+            covs = band_cov_stack(windows, self.sfreq)  # (n_win, bands, C, C)
+            return riemann_vectorize(aggregate_recording(covs, "logm_mean"))
+        feats = [handcrafted_features(X, self.sfreq) for X in windows]
         return aggregate_recording(feats, "median")
 
     def fit(self, dataset: Dataset, denoise: str,
@@ -297,14 +290,14 @@ class FeatureModel:
         labels = []
         recs = dataset.split("train") + dataset.split("valid")
         for rec in recs:
-            rows.append(self._recording_features(list(rec.windows)))
+            rows.append(self._recording_features(rec.windows))
             labels.append(rec.label)
             if denoise == "augmentation":
                 for copy in range(self.N_AUG_COPIES):
                     aug = augment_batch(
                         rec.windows, aug_spec,
                         derive_seed(self.seed, 4, rec.id, copy))
-                    rows.append(self._recording_features(list(aug)))
+                    rows.append(self._recording_features(aug))
                     labels.append(rec.label)
         features = np.stack(rows)
         y = np.asarray(labels)
@@ -319,7 +312,7 @@ class FeatureModel:
         return self
 
     def predict_recording(self, windows) -> int:
-        feats = self._recording_features(list(windows))[None]
+        feats = self._recording_features(np.asarray(windows))[None]
         feats = impute_apply(feats, self.impute_means)
         feats = zscore_apply(feats, self.norm_mean, self.norm_std)
         return int(self.clf.predict(feats)[0])
@@ -434,24 +427,27 @@ def run_sweep(cfg: ExperimentConfig, dataset: Dataset, out_path: str,
     return rows
 
 
-def write_results_csv(rows: list[ResultRow], out_path: str) -> None:
-    """Write atomically: temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(out_path))
+def write_csv_atomic(path: str, rows) -> None:
+    """Write CSV rows to a temp file in the target directory, then rename
+    it into place. On any error the temp file is removed and the target is
+    left as it was."""
+    directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".csv.tmp")
     try:
         with os.fdopen(fd, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(RESULT_HEADER)
-            for r in rows:
-                writer.writerow([r.seed, r.split_id, r.model, r.denoise,
-                                 repr(r.eta), r.n_corrupted, r.c_prime,
-                                 r.metric, repr(r.value)])
-        os.replace(tmp, out_path)
+            csv.writer(f).writerows(rows)
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_results_csv(rows: list[ResultRow], out_path: str) -> None:
+    write_csv_atomic(out_path, [RESULT_HEADER] + [
+        [r.seed, r.split_id, r.model, r.denoise, repr(r.eta), r.n_corrupted,
+         r.c_prime, r.metric, repr(r.value)] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -491,23 +487,8 @@ def inspect_filters(model: DeepModel, recordings: list[Recording],
         for ch in range(phis.shape[1])
     }
     if dump_path is not None:
-        _write_filter_dump(records, dump_path)
+        write_csv_atomic(dump_path, (
+            [window_index] + [repr(v) for v in W.ravel()]
+            + [repr(v) for v in b] + [repr(v) for v in phi]
+            for window_index, W, b, phi in records))
     return records, summary
-
-
-def _write_filter_dump(records, path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".csv.tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as f:
-            writer = csv.writer(f)
-            for window_index, W, b, phi in records:
-                row = ([window_index] + [repr(v) for v in W.ravel()]
-                       + [repr(v) for v in b] + [repr(v) for v in phi])
-                writer.writerow(row)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

@@ -69,7 +69,7 @@ class InterpModule:
             np.fill_diagonal(store[self.w_name].value, 0.0)
 
     def _mlp_forward(self, X: NDArray, store: ParamStore) -> NDArray:
-        phi = np.stack([compute_summary(SUMMARY_KIND, x).values for x in X])
+        phi = compute_summary(SUMMARY_KIND, X)
         h = self.act.forward(self.fc1.forward(phi, store), store)
         return self.fc2.forward(h, store)
 
@@ -87,17 +87,8 @@ class InterpModule:
             self._W = W
             return np.einsum("ij,bjt->bit", W, X, optimize=True)
 
-        if self.kind == "scalar":
-            raw = self._mlp_forward(X, store)  # (B, 1)
-            alpha = 1.0 / (1.0 + np.exp(-raw))
-            W = self.static_w(store)
-            WX = np.einsum("ij,bjt->bit", W, X, optimize=True)
-            self._alpha, self._W, self._WX = alpha, W, WX
-            a = alpha[:, :, None]  # (B, 1, 1)
-            return a * X + (1.0 - a) * WX
-
-        if self.kind == "vector":
-            raw = self._mlp_forward(X, store)  # (B, C)
+        if self.kind in ("scalar", "vector"):
+            raw = self._mlp_forward(X, store)  # (B, 1) or (B, C)
             alpha = 1.0 / (1.0 + np.exp(-raw))
             W = self.static_w(store)
             WX = np.einsum("ij,bjt->bit", W, X, optimize=True)

@@ -2,11 +2,11 @@
 
 Covariance estimation, Oracle Approximating Shrinkage, symmetric
 eigendecomposition, matrix logarithm (exact and truncated Taylor series)
-and upper-triangle vectorization. All functions are pure and operate on
-float64 numpy arrays.
+and upper-triangle vectorization. All functions are pure, operate on
+float64 numpy arrays and accept stacks: windows of shape (..., C, T) and
+matrices of shape (..., C, C). Each check applies to the whole stack, and
+every matrix in a stack gets the same bits it would get on its own.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -23,46 +23,41 @@ class NotPSDError(ValueError):
     """Matrix has a significantly negative eigenvalue."""
 
 
-@dataclass(frozen=True)
-class SymEigDecomp:
-    """Eigendecomposition S = U diag(eigenvalues) U^T, eigenvalues descending."""
-
-    eigenvalues: NDArray
-    eigenvectors: NDArray
-
-
-@dataclass(frozen=True)
-class ShrunkCovariance:
-    """OAS-shrunk covariance along with the shrinkage coefficient used."""
-
-    matrix: NDArray
-    rho: float
-    degenerate: bool = False
-
-
-def _check_finite(S: NDArray, name: str = "matrix") -> None:
+def check_finite(S: NDArray, name: str = "matrix") -> None:
     if not np.all(np.isfinite(S)):
         raise ValueError(f"{name} contains non-finite entries")
 
 
+def _square_stack(S: NDArray) -> NDArray:
+    S = np.asarray(S, dtype=np.float64)
+    if S.ndim < 2 or S.shape[-2] != S.shape[-1]:
+        raise ValueError(f"expected square matrices, got shape {S.shape}")
+    check_finite(S)
+    return S
+
+
+def _mT(S: NDArray) -> NDArray:
+    return np.swapaxes(S, -1, -2)
+
+
 def sample_covariance(X: NDArray) -> NDArray:
-    """Unbiased covariance X_c X_c^T / (T-1) of a C x T window.
+    """Unbiased covariance X_c X_c^T / (T-1) of (..., C, T) windows.
 
     Rows are mean-centered first, so the zero-mean assumption holds by
-    construction. Output is exactly symmetric.
+    construction. Output is exactly symmetric, shape (..., C, C).
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] < 2:
+    if X.ndim < 2 or X.shape[-1] < 2:
         raise DegenerateInputError(
-            f"need a 2-D window with at least 2 samples, got shape {X.shape}"
+            f"need windows with at least 2 samples, got shape {X.shape}"
         )
-    _check_finite(X, "window")
-    Xc = X - X.mean(axis=1, keepdims=True)
-    S = Xc @ Xc.T / (X.shape[1] - 1)
-    return (S + S.T) / 2.0
+    check_finite(X, "window")
+    Xc = X - X.mean(axis=-1, keepdims=True)
+    S = Xc @ _mT(Xc) / (X.shape[-1] - 1)
+    return (S + _mT(S)) / 2.0
 
 
-def oas_shrink(S: NDArray, n_samples: int) -> ShrunkCovariance:
+def oas_shrink(S: NDArray, n_samples: int) -> NDArray:
     """Oracle Approximating Shrinkage toward the scaled identity.
 
     shrunk = (1 - rho) S + rho (tr(S)/C) I with
@@ -73,61 +68,64 @@ def oas_shrink(S: NDArray, n_samples: int) -> ShrunkCovariance:
     Guarantees an SPD output whenever tr(S) > 0. A zero-trace input is
     degenerate and maps to EIG_FLOOR * I.
     """
-    S = np.asarray(S, dtype=np.float64)
-    C = S.shape[0]
-    if S.shape != (C, C):
-        raise ValueError(f"expected a square matrix, got shape {S.shape}")
+    S = _square_stack(S)
     if n_samples < 2:
         raise DegenerateInputError("OAS needs n_samples >= 2")
-    _check_finite(S)
+    C = S.shape[-1]
+    eye = np.eye(C)
 
-    tr_S = float(np.trace(S))
-    if tr_S <= 0.0:
-        return ShrunkCovariance(EIG_FLOOR * np.eye(C), rho=1.0, degenerate=True)
-
-    tr_S2 = float(np.sum(S * S))
+    tr_S = np.trace(S, axis1=-2, axis2=-1)
+    tr_S2 = np.sum(S * S, axis=(-2, -1))
     num = (1.0 - 2.0 / C) * tr_S2 + tr_S**2
     den = (n_samples + 1.0 - 2.0 / C) * (tr_S2 - tr_S**2 / C)
-    rho = 1.0 if den <= 0.0 else min(1.0, num / den)
+    positive = den > 0.0
+    rho = np.where(positive,
+                   np.minimum(1.0, num / np.where(positive, den, 1.0)), 1.0)
 
     mu = tr_S / C
-    shrunk = (1.0 - rho) * S + rho * mu * np.eye(C)
-    return ShrunkCovariance((shrunk + shrunk.T) / 2.0, rho=rho)
+    rho, rho_mu = rho[..., None, None], (rho * mu)[..., None, None]
+    shrunk = (1.0 - rho) * S + rho_mu * eye
+    shrunk = (shrunk + _mT(shrunk)) / 2.0
+    return np.where((tr_S <= 0.0)[..., None, None], EIG_FLOOR * eye, shrunk)
 
 
-def sym_eig(S: NDArray) -> SymEigDecomp:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    S = np.asarray(S, dtype=np.float64)
-    _check_finite(S)
-    asym = float(np.max(np.abs(S - S.T))) if S.size else 0.0
+def sym_eig(S: NDArray) -> tuple[NDArray, NDArray]:
+    """Eigendecomposition S = U diag(w) U^T of symmetric matrices.
+
+    Returns (w, U) with eigenvalues descending along the last axis.
+    """
+    S = _square_stack(S)
+    asym = float(np.max(np.abs(S - _mT(S)))) if S.size else 0.0
     if asym >= SYM_TOL:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3g})")
-    Ssym = (S + S.T) / 2.0
-    w, U = np.linalg.eigh(Ssym)
-    order = np.argsort(w)[::-1]
-    return SymEigDecomp(eigenvalues=w[order], eigenvectors=U[:, order])
+    w, U = np.linalg.eigh((S + _mT(S)) / 2.0)
+    order = np.argsort(w, axis=-1)[..., ::-1]
+    return (np.take_along_axis(w, order, axis=-1),
+            np.take_along_axis(U, order[..., None, :], axis=-1))
+
+
+def _eig_apply(U: NDArray, fw: NDArray) -> NDArray:
+    out = (U * fw[..., None, :]) @ _mT(U)
+    return (out + _mT(out)) / 2.0
 
 
 def matrix_log_eig(S: NDArray) -> NDArray:
-    """Matrix logarithm of a symmetric PSD matrix via eigendecomposition.
+    """Matrix logarithm of symmetric PSD matrices via eigendecomposition.
 
     Eigenvalues at or below EIG_FLOOR have their logarithm replaced by 0
     (flat-channel rule); eigenvalues below -SYM_TOL raise NotPSDError.
     """
-    dec = sym_eig(S)
-    w = dec.eigenvalues
+    w, U = sym_eig(S)
     if np.any(w < -SYM_TOL):
         raise NotPSDError(f"matrix has negative eigenvalue {w.min():.3g}")
     logw = np.where(w > EIG_FLOOR, np.log(np.maximum(w, EIG_FLOOR)), 0.0)
-    out = (dec.eigenvectors * logw) @ dec.eigenvectors.T
-    return (out + out.T) / 2.0
+    return _eig_apply(U, logw)
 
 
 def matrix_exp_eig(S: NDArray) -> NDArray:
-    """Matrix exponential of a symmetric matrix via eigendecomposition."""
-    dec = sym_eig(S)
-    out = (dec.eigenvectors * np.exp(dec.eigenvalues)) @ dec.eigenvectors.T
-    return (out + out.T) / 2.0
+    """Matrix exponential of symmetric matrices via eigendecomposition."""
+    w, U = sym_eig(S)
+    return _eig_apply(U, np.exp(w))
 
 
 def matrix_log_taylor(A: NDArray, n_terms: int) -> NDArray:
@@ -140,35 +138,35 @@ def matrix_log_taylor(A: NDArray, n_terms: int) -> NDArray:
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    A = np.asarray(A, dtype=np.float64)
-    _check_finite(A)
-    C = A.shape[0]
-    s = float(np.linalg.norm(A, "fro")) / 2.0
-    if s <= 0.0:
+    A = _square_stack(A)
+    eye = np.eye(A.shape[-1])
+    flat = A.reshape(*A.shape[:-2], 1, -1)
+    # (..., 1, 1): the same dot product norm(A, "fro") takes on one matrix.
+    s = np.sqrt(flat @ _mT(flat)) / 2.0
+    if np.any(s <= 0.0):
         raise DegenerateInputError("matrix has zero Frobenius norm")
-    D = A / s - np.eye(C)
+    D = A / s - eye
     acc = np.zeros_like(A)
-    term = np.eye(C)
+    term = np.broadcast_to(eye, A.shape)
     for k in range(1, n_terms + 1):
         term = term @ D
         acc += ((-1.0) ** (k + 1)) * term / k
-    return acc + np.log(s) * np.eye(C)
+    return acc + np.log(s) * eye
 
 
 def vec_upper(S: NDArray) -> NDArray:
     """Row-major flattening of the diagonal and strict upper triangle.
 
-    Returns C(C+1)/2 values (S11, S12, ..., S1C, S22, ...); no off-diagonal
-    rescaling is applied.
+    Maps (..., C, C) to (..., C(C+1)/2) values (S11, S12, ..., S1C, S22,
+    ...); no off-diagonal rescaling is applied.
     """
     S = np.asarray(S, dtype=np.float64)
-    C = S.shape[0]
-    iu = np.triu_indices(C)
-    return S[iu]
+    iu = np.triu_indices(S.shape[-1])
+    return S[..., iu[0], iu[1]]
 
 
 def unvec_upper(v: NDArray) -> NDArray:
-    """Inverse of vec_upper: rebuild the symmetric matrix."""
+    """Inverse of vec_upper for one vector: rebuild the symmetric matrix."""
     v = np.asarray(v, dtype=np.float64)
     m = len(v)
     C = int(round((np.sqrt(8 * m + 1) - 1) / 2))

@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
+from .binio import (expect_end, read_exact, read_float64, read_shape,
+                    unpack_exact)
+
 LOG_FLOOR = 1e-6
 MAGIC = b"DSF1"
 FORMAT_VERSION = 1
@@ -96,20 +99,17 @@ class ParamStore:
         with open(path, "rb") as f:
             if f.read(4) != MAGIC:
                 raise ValueError(f"{path}: bad magic, not a parameter file")
-            (version,) = struct.unpack("<I", f.read(4))
+            (version,) = unpack_exact(f, "<I", path)
             if version != FORMAT_VERSION:
                 raise ValueError(f"{path}: unsupported version {version}")
-            (count,) = struct.unpack("<I", f.read(4))
+            (count,) = unpack_exact(f, "<I", path)
             for _ in range(count):
-                (name_len,) = struct.unpack("<I", f.read(4))
-                name = f.read(name_len).decode("utf-8")
-                (rank,) = struct.unpack("<Q", f.read(8))
-                shape = tuple(
-                    struct.unpack("<Q", f.read(8))[0] for _ in range(rank)
-                )
-                n = int(np.prod(shape)) if shape else 1
-                data = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(shape)
-                store.add(name, data.astype(np.float64).copy())
+                (name_len,) = unpack_exact(f, "<I", path)
+                name = read_exact(f, name_len, path).decode("utf-8")
+                (rank,) = unpack_exact(f, "<Q", path)
+                shape = read_shape(f, rank, path)
+                store.add(name, read_float64(f, shape, path))
+            expect_end(f, path)
         return store
 
 
@@ -331,6 +331,13 @@ class Flatten(Layer):
 
 # ---------------------------------------------------------------------------
 # Loss
+
+
+def softmax(logits: NDArray) -> NDArray:
+    """Row-wise softmax of (B, K) logits."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    return expd / expd.sum(axis=1, keepdims=True)
 
 
 def softmax_xent(

@@ -1,42 +1,36 @@
-"""Fixed spatial summaries of a multichannel window.
+"""Fixed spatial summaries of multichannel windows.
 
 These feed the dynamic filter generator: either per-channel log-variance
 or the vectorized matrix logarithm of the (shrunk) covariance matrix.
+Every summary maps a stack of windows (..., C, T) to (..., d) in one call.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .linalg import matrix_log_eig, oas_shrink, sample_covariance, vec_upper
+from .linalg import (check_finite, matrix_log_eig, oas_shrink,
+                     sample_covariance, vec_upper)
 
 VAR_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class SpatialSummary:
-    kind: str  # "log_variance" or "logm_covariance"
-    values: NDArray
-
-
-def phi_logvar(X: NDArray) -> SpatialSummary:
+def phi_logvar(X: NDArray) -> NDArray:
     """Per-channel log-variance; flat channels map to 0 instead of -inf."""
     X = np.asarray(X, dtype=np.float64)
-    var = X.var(axis=1, ddof=1)
-    values = np.where(var > VAR_FLOOR, np.log(np.maximum(var, VAR_FLOOR)), 0.0)
-    return SpatialSummary(kind="log_variance", values=values)
+    check_finite(X, "window")
+    var = X.var(axis=-1, ddof=1)
+    return np.where(var > VAR_FLOOR, np.log(np.maximum(var, VAR_FLOOR)), 0.0)
 
 
-def phi_logm_cov(X: NDArray) -> SpatialSummary:
+def phi_logm_cov(X: NDArray) -> NDArray:
     """Upper triangle of logm of the OAS-shrunk covariance, C(C+1)/2 values.
 
     Shrinkage guarantees the matrix log sees an SPD input even when some
     channels are flat or duplicated.
     """
     X = np.asarray(X, dtype=np.float64)
-    S = oas_shrink(sample_covariance(X), X.shape[1]).matrix
-    return SpatialSummary(kind="logm_covariance", values=vec_upper(matrix_log_eig(S)))
+    S = oas_shrink(sample_covariance(X), X.shape[-1])
+    return vec_upper(matrix_log_eig(S))
 
 
 def phi_length(kind: str, n_channels: int) -> int:
@@ -48,7 +42,7 @@ def phi_length(kind: str, n_channels: int) -> int:
     raise ValueError(f"unknown summary kind: {kind!r}")
 
 
-def compute_summary(kind: str, X: NDArray) -> SpatialSummary:
+def compute_summary(kind: str, X: NDArray) -> NDArray:
     if kind == "log_variance":
         return phi_logvar(X)
     if kind == "logm_covariance":

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
+from .binio import expect_end, read_float64, unpack_exact
 from .seeding import rng_for
 
 MAGIC = b"DSFD"
@@ -40,6 +41,9 @@ class SynthConfig:
             raise ValueError("need at least 2 channels")
         if self.n_times < 128:
             raise ValueError("need at least 128 samples per window")
+        if not 1 <= self.n_classes <= 3:
+            raise ValueError(f"n_classes must be 1, 2 or 3 (one per boosted "
+                             f"source), got {self.n_classes}")
 
 
 @dataclass
@@ -169,29 +173,27 @@ def save_dataset(ds: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
+    """Read a save_dataset file: magic, version, (C, T, sfreq, recording
+    count), then per recording (id, label, split tag, window count) and its
+    little-endian float64 windows. Every length is checked exactly."""
     tags = {0: "", 1: "train", 2: "valid", 3: "test"}
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise ValueError(f"{path}: bad magic, not a dataset file")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = unpack_exact(f, "<I", path)
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        C, T = struct.unpack("<II", f.read(8))
-        (sfreq,) = struct.unpack("<d", f.read(8))
-        (n_rec,) = struct.unpack("<I", f.read(4))
+        C, T, sfreq, n_rec = unpack_exact(f, "<IIdI", path)
         cfg = SynthConfig(n_channels=C, n_times=T, sfreq=sfreq,
                           n_recordings=n_rec)
         recordings = []
         splits: dict[int, str] = {}
         for _ in range(n_rec):
-            (rec_id,) = struct.unpack("<Q", f.read(8))
-            (label,) = struct.unpack("<B", f.read(1))
-            (tag_code,) = struct.unpack("<B", f.read(1))
-            (n_win,) = struct.unpack("<I", f.read(4))
-            data = np.frombuffer(f.read(8 * n_win * C * T), dtype="<f8")
-            windows = data.reshape(n_win, C, T).astype(np.float64).copy()
+            rec_id, label, tag_code, n_win = unpack_exact(f, "<QBBI", path)
+            windows = read_float64(f, (n_win, C, T), path)
             recordings.append(Recording(id=rec_id, label=label,
                                         windows=windows))
             if tags[tag_code]:
                 splits[rec_id] = tags[tag_code]
+        expect_end(f, path)
     return Dataset(config=cfg, recordings=recordings, splits=splits)

@@ -6,9 +6,8 @@ from dsfnet.baselines import (HANDCRAFTED_NAMES, RIEMANN_BANDS,
                               LogisticRegression, aggregate_recording,
                               band_cov_stack, bandpass_filterbank,
                               handcrafted_features, handcrafted_length,
-                              impute_apply, impute_fit, riemann_features,
-                              riemann_length, riemann_vectorize, zscore_apply,
-                              zscore_fit)
+                              impute_apply, impute_fit, riemann_length,
+                              riemann_vectorize, zscore_apply, zscore_fit)
 
 from conftest import random_spd
 
@@ -40,25 +39,17 @@ def test_filterbank_rejects_band_above_nyquist():
 
 def test_riemann_features_shape_and_finiteness(rng):
     X = rng.normal(size=(4, 500)) * 10.0
-    out = riemann_features(X, 100.0)
-    assert out.schema == "riemann"
-    assert out.values.shape == (riemann_length(4),)
-    assert np.all(np.isfinite(out.values))
-
-
-def test_band_cov_stack_matches_riemann_features(rng):
-    X = rng.normal(size=(3, 400))
     covs = band_cov_stack(X, 100.0)
-    assert covs.shape == (7, 3, 3)
-    np.testing.assert_allclose(riemann_vectorize(covs).values,
-                               riemann_features(X, 100.0).values,
-                               rtol=1e-12, atol=1e-12)
+    assert covs.shape == (7, 4, 4)
+    out = riemann_vectorize(covs)
+    assert out.shape == (riemann_length(4),)
+    assert np.all(np.isfinite(out))
 
 
 def test_handcrafted_statistical_features_oracle(rng):
     x = rng.normal(3.0, 2.0, size=2000)
     X = x[None, :]
-    values = handcrafted_features(X, 100.0).values
+    values = handcrafted_features(X, 100.0)
     named = dict(zip(HANDCRAFTED_NAMES, values))
     assert named["mean"] == pytest.approx(x.mean(), rel=1e-12)
     assert named["std"] == pytest.approx(x.std(), rel=1e-12)
@@ -77,7 +68,7 @@ def test_handcrafted_sine_oracle():
     t = np.arange(1000) / 100.0
     x = np.sin(2 * np.pi * 5.0 * t)
     named = dict(zip(HANDCRAFTED_NAMES,
-                     handcrafted_features(x[None], 100.0).values))
+                     handcrafted_features(x[None], 100.0)))
     assert named["zero_crossings"] == pytest.approx(100, abs=1)
     band_keys = [k for k in HANDCRAFTED_NAMES if k.startswith("logpow")]
     best = max(band_keys, key=lambda k: named[k])
@@ -87,7 +78,7 @@ def test_handcrafted_sine_oracle():
 
 
 def test_handcrafted_flat_channel_is_finite():
-    values = handcrafted_features(np.zeros((2, 500)), 100.0).values
+    values = handcrafted_features(np.zeros((2, 500)), 100.0)
     assert np.all(np.isfinite(values))
 
 

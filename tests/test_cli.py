@@ -125,3 +125,20 @@ def test_taylor_error_curve_shrinks_with_terms(rng):
     medians = [med for _, med, _, _ in curve]
     assert medians[0] >= medians[1] >= medians[2]
     assert medians[2] < 0.01
+
+
+def test_taylor_bench_failed_write_leaves_no_temp_file(tmp_path, cfg_path,
+                                                       monkeypatch):
+    class FailingRow:
+        def __iter__(self):
+            raise RuntimeError("row write failed")
+
+    monkeypatch.setattr("dsfnet.cli.taylor_error_curve",
+                        lambda windows, grid: [(5, 0.1, 0.1, 0.0),
+                                               FailingRow()])
+    out = tmp_path / "out" / "taylor.csv"
+    with pytest.raises(RuntimeError, match="row write failed"):
+        main(["taylor-bench", "--config", cfg_path(), "--seed", "0",
+              "--out", str(out), "--n-windows", "4", "--terms", "5"])
+    assert not out.exists()
+    assert list(out.parent.glob("*.tmp")) == []

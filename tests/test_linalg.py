@@ -41,9 +41,9 @@ def test_oas_formula_oracle(rng):
     rho = min(1.0, num / den)
     expected = (1 - rho) * S + rho * (tr_S / C) * np.eye(C)
     out = oas_shrink(S, n)
-    assert out.rho == pytest.approx(rho, rel=1e-12)
-    np.testing.assert_allclose(out.matrix, expected, rtol=1e-12, atol=1e-12)
-    assert not out.degenerate
+    assert 0 < rho < 1
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+    assert not np.allclose(out, 1e-12 * np.eye(C))
 
 
 def test_oas_output_is_spd_for_rank_deficient_input(rng):
@@ -51,26 +51,26 @@ def test_oas_output_is_spd_for_rank_deficient_input(rng):
     v = rng.normal(size=4)
     S = np.outer(v, v)
     out = oas_shrink(S, 100)
-    w = np.linalg.eigvalsh(out.matrix)
+    w = np.linalg.eigvalsh(out)
     assert w.min() > 0
 
 
 def test_oas_identity_is_fixed_point():
     out = oas_shrink(np.eye(5), 100)
-    np.testing.assert_allclose(out.matrix, np.eye(5), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out, np.eye(5), rtol=0, atol=1e-15)
 
 
 def test_oas_zero_trace_degenerate():
     out = oas_shrink(np.zeros((3, 3)), 10)
-    assert out.degenerate
-    assert np.all(np.linalg.eigvalsh(out.matrix) > 0)
+    np.testing.assert_array_equal(out, 1e-12 * np.eye(3))
+    assert np.all(np.linalg.eigvalsh(out) > 0)
 
 
 def test_sym_eig_matches_numpy_and_orders_descending(rng):
     S = random_spd(6, rng)
-    dec = sym_eig(S)
-    assert np.all(np.diff(dec.eigenvalues) <= 0)
-    recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
+    w, U = sym_eig(S)
+    assert np.all(np.diff(w) <= 0)
+    recon = (U * w) @ U.T
     np.testing.assert_allclose(recon, S, rtol=0, atol=1e-10)
 
 
@@ -158,3 +158,20 @@ def test_vec_unvec_round_trip(rng):
 def test_unvec_rejects_non_triangular_length():
     with pytest.raises(ValueError):
         unvec_upper(np.zeros(5))
+
+
+def test_checks_and_floor_apply_per_matrix_of_a_stack(rng):
+    good = np.stack([random_spd(3, rng) for _ in range(4)])
+    out = oas_shrink(np.concatenate([good, np.zeros((1, 3, 3))]), 50)
+    np.testing.assert_array_equal(out[-1], 1e-12 * np.eye(3))
+    np.testing.assert_array_equal(out[:-1], oas_shrink(good, 50))
+    asym = good.copy()
+    asym[2, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eig(asym)
+    neg = good.copy()
+    neg[1] = np.diag([1.0, 1.0, -0.5])
+    with pytest.raises(NotPSDError):
+        matrix_log_eig(neg)
+    with pytest.raises(DegenerateInputError):
+        matrix_log_taylor(np.concatenate([good, np.zeros((1, 3, 3))]), 5)

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 import scipy.special
@@ -5,7 +8,8 @@ import scipy.special
 from dsfnet.nn import (LOG_FLOOR, AvgPool, Dense, Dropout, Flatten, LogFloor,
                        ParamStore, ShallowNet, ShallowNetConfig, Sigmoid,
                        SpatialConv, Square, TemporalConv, TrainConfig,
-                       adamw_step, cosine_lr, he_uniform_init, softmax_xent)
+                       adamw_step, cosine_lr, he_uniform_init, softmax,
+                       softmax_xent)
 
 from conftest import finite_diff_input_max_rel_error, finite_diff_max_rel_error
 
@@ -49,6 +53,54 @@ def test_param_store_save_load_round_trip(tmp_path, rng):
     assert sorted(loaded.names()) == sorted(store.names())
     for name in store.names():
         assert np.array_equal(loaded[name].value, store[name].value)
+
+
+@pytest.fixture
+def param_bytes(tmp_path, rng):
+    store = ParamStore()
+    store.add("layer.W", rng.normal(size=(3, 4)))
+    store.add("layer.b", rng.normal(size=4))
+    path = str(tmp_path / "params.bin")
+    store.save(path)
+    return open(path, "rb").read()
+
+
+def test_param_store_load_rejects_truncated_header(tmp_path, param_bytes):
+    path = tmp_path / "short.bin"
+    path.write_bytes(param_bytes[:10])  # magic, version, half the count
+    where = re.escape(str(path))
+    with pytest.raises(ValueError, match=f"{where}: truncated at byte offset 8"):
+        ParamStore.load(str(path))
+
+
+def test_param_store_load_rejects_truncated_payload(tmp_path, param_bytes):
+    path = tmp_path / "short.bin"
+    path.write_bytes(param_bytes[:-3])
+    where = re.escape(str(path))
+    with pytest.raises(ValueError, match=f"{where}: truncated at byte offset"):
+        ParamStore.load(str(path))
+
+
+def test_param_store_load_rejects_huge_length_field(tmp_path, param_bytes):
+    # The rank of the first entry sits after magic, version, count, the
+    # name length and the 7-byte name "layer.W".
+    at = 4 + 4 + 4 + 4 + 7
+    path = tmp_path / "corrupt.bin"
+    path.write_bytes(param_bytes[:at] + struct.pack("<Q", 2**62)
+                     + param_bytes[at + 8:])
+    where = re.escape(str(path))
+    with pytest.raises(ValueError, match=f"{where}: truncated at byte offset"):
+        ParamStore.load(str(path))
+
+
+def test_param_store_load_rejects_trailing_bytes(tmp_path, param_bytes):
+    path = tmp_path / "long.bin"
+    path.write_bytes(param_bytes + b"\x00\x00")
+    offset = len(param_bytes)
+    where = re.escape(str(path))
+    with pytest.raises(ValueError,
+                       match=f"{where}: .*trailing bytes at byte offset {offset}"):
+        ParamStore.load(str(path))
 
 
 def test_param_store_load_rejects_bad_magic(tmp_path):
@@ -270,6 +322,15 @@ def test_softmax_xent_matches_scipy(rng):
     log_probs = scipy.special.log_softmax(logits, axis=1)
     ref = -np.mean(w[labels] * log_probs[np.arange(10), labels])
     assert loss == pytest.approx(ref, rel=1e-12)
+
+
+def test_softmax_matches_scipy_and_is_stable(rng):
+    logits = rng.normal(size=(10, 3))
+    np.testing.assert_allclose(softmax(logits),
+                               scipy.special.softmax(logits, axis=1),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(softmax(logits + 1000.0), softmax(logits),
+                               rtol=1e-12, atol=0)
 
 
 def test_softmax_xent_gradient_finite_difference(rng):

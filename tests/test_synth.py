@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,13 @@ def test_config_validation():
         SynthConfig(n_channels=1)
     with pytest.raises(ValueError):
         SynthConfig(n_times=64)
+
+
+@pytest.mark.parametrize("n_classes", [0, 4])
+def test_config_rejects_unsupported_class_count(n_classes):
+    # The generator has three sources to boost, one per class.
+    with pytest.raises(ValueError, match="n_classes"):
+        SynthConfig(n_classes=n_classes)
 
 
 def test_mixing_matrix_properties():
@@ -101,6 +110,40 @@ def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"XXXX" + b"\x00" * 32)
     with pytest.raises(ValueError, match="bad magic"):
+        load_dataset(str(path))
+
+
+@pytest.fixture
+def dataset_bytes(tmp_path):
+    ds = split_dataset(generate_dataset(TINY, seed=3), (0.5, 0.25, 0.25), 3)
+    path = str(tmp_path / "data.bin")
+    save_dataset(ds, path)
+    return open(path, "rb").read()
+
+
+def test_load_rejects_truncated_header(tmp_path, dataset_bytes):
+    path = tmp_path / "short.bin"
+    path.write_bytes(dataset_bytes[:12])  # magic, version, half the shape
+    where = re.escape(str(path))
+    with pytest.raises(ValueError, match=f"{where}: truncated at byte offset 8"):
+        load_dataset(str(path))
+
+
+def test_load_rejects_truncated_payload(tmp_path, dataset_bytes):
+    path = tmp_path / "short.bin"
+    path.write_bytes(dataset_bytes[:-5])
+    where = re.escape(str(path))
+    with pytest.raises(ValueError, match=f"{where}: truncated at byte offset"):
+        load_dataset(str(path))
+
+
+def test_load_rejects_trailing_bytes(tmp_path, dataset_bytes):
+    path = tmp_path / "long.bin"
+    path.write_bytes(dataset_bytes + b"\x00")
+    offset = len(dataset_bytes)
+    where = re.escape(str(path))
+    with pytest.raises(ValueError,
+                       match=f"{where}: .*trailing bytes at byte offset {offset}"):
         load_dataset(str(path))
 
 

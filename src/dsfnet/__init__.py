@@ -5,9 +5,8 @@ second-order channel statistics, plus the corruption augmentation,
 interpolation ablations, baselines and the robustness sweep harness.
 """
 
-from .attention import (DsfConfig, DsfModule, SpatialFilterSet,
-                        channel_contribution, dsf_forward, dsf_param_count,
-                        soft_threshold)
+from .attention import (DsfConfig, DsfModule, channel_contribution,
+                        dsf_param_count, soft_threshold)
 from .corruption import (CorruptionSpec, augment_batch, corrupt_recording,
                          corrupt_window, corruption_fraction, psd_slope,
                          sample_mask)

@@ -52,14 +52,6 @@ class DsfConfig:
         return self.variant == "dsfm_st"
 
 
-@dataclass(frozen=True)
-class SpatialFilterSet:
-    """Per-window filters as applied (post-threshold when enabled)."""
-
-    W: NDArray  # (C', C)
-    b: NDArray  # (C',)
-
-
 def soft_threshold(W: NDArray, tau: float) -> NDArray:
     """sign(w) * max(|w| - tau, 0), elementwise."""
     if tau < 0:
@@ -73,9 +65,9 @@ def soft_threshold_subgradient(W: NDArray, tau: float) -> NDArray:
 
 
 def channel_contribution(W: NDArray) -> NDArray:
-    """Column-wise Euclidean norms of W: how much each input channel feeds
-    the virtual channels."""
-    return np.sqrt(np.sum(np.asarray(W, dtype=np.float64) ** 2, axis=0))
+    """Column-wise Euclidean norms of (..., C', C) filters, shape (..., C):
+    how much each input channel feeds the virtual channels."""
+    return np.sqrt(np.sum(np.asarray(W, dtype=np.float64) ** 2, axis=-2))
 
 
 def dsf_param_count(cfg: DsfConfig) -> int:
@@ -89,13 +81,13 @@ class DsfModule:
     """Trainable DSF filter generator; batched forward/backward."""
 
     def __init__(self, cfg: DsfConfig, store: ParamStore,
-                 rng: np.random.Generator, prefix: str = "dsf"):
+                 rng: np.random.Generator):
         self.cfg = cfg
         out_dim = cfg.n_virtual * (cfg.n_channels + 1)
-        self.fc1 = Dense(f"{prefix}.fc1", cfg.summary_length, cfg.hidden_size,
+        self.fc1 = Dense("dsf.fc1", cfg.summary_length, cfg.hidden_size,
                          store, rng)
         self.act = Sigmoid()
-        self.fc2 = Dense(f"{prefix}.fc2", cfg.hidden_size, out_dim, store, rng)
+        self.fc2 = Dense("dsf.fc2", cfg.hidden_size, out_dim, store, rng)
 
     def summaries(self, X: NDArray) -> NDArray:
         """Spatial summaries of a (B, C, T) batch; no gradient flows here."""
@@ -142,38 +134,3 @@ class DsfModule:
         dh = self.fc2.backward(draw, store)
         self.fc1.backward(self.act.backward(dh, store), store)
         return np.einsum("bvc,bvt->bct", self._W, dY, optimize=True)
-
-
-def dsf_forward(X: NDArray, params: ParamStore, cfg: DsfConfig,
-                module: DsfModule | None = None,
-                ) -> tuple[NDArray, SpatialFilterSet]:
-    """Single-window forward pass returning the output and the filters
-    actually applied."""
-    X = np.asarray(X, dtype=np.float64)
-    if module is None:
-        module = bind_module(cfg, params)
-    Y = module.forward(X[None], params)
-    filters = SpatialFilterSet(W=module._W[0].copy(), b=module._b[0].copy())
-    return Y[0], filters
-
-
-def bind_module(cfg: DsfConfig, store: ParamStore,
-                prefix: str = "dsf") -> DsfModule:
-    """Attach a DsfModule view onto an existing parameter store."""
-    module = DsfModule.__new__(DsfModule)
-    module.cfg = cfg
-    module.fc1 = _bind_dense(f"{prefix}.fc1", store)
-    module.act = Sigmoid()
-    module.fc2 = _bind_dense(f"{prefix}.fc2", store)
-    return module
-
-
-def _bind_dense(name: str, store: ParamStore) -> Dense:
-    layer = Dense.__new__(Dense)
-    layer.name = name
-    layer.w_name = f"{name}.W"
-    layer.b_name = f"{name}.b"
-    layer.param_names = (layer.w_name, layer.b_name)
-    if layer.w_name not in store or layer.b_name not in store:
-        raise ValueError(f"parameter store is missing {name} weights")
-    return layer

@@ -76,49 +76,49 @@ def riemann_vectorize(covs: NDArray) -> NDArray:
     return vecs.reshape(*vecs.shape[:-2], -1)
 
 
-def _channel_features(x: NDArray, sfreq: float) -> list[float]:
-    T = len(x)
-    mean = x.mean()
-    centered = x - mean
-    var = centered.var()
-    std = np.sqrt(var)
-    rms = np.sqrt(np.mean(x**2))
-    if std > 0:
-        kurtosis = np.mean(centered**4) / var**2 - 3.0
-        skewness = np.mean(centered**3) / std**3
-    else:
-        kurtosis = 0.0
-        skewness = 0.0
-    q10, q25, q75, q90 = np.quantile(x, (0.1, 0.25, 0.75, 0.9))
-    ptp = x.max() - x.min()
-
-    spec = np.abs(np.fft.rfft(x)) ** 2 / T
-    freqs = np.fft.rfftfreq(T, d=1.0 / sfreq)
-    log_powers = []
-    for i in range(len(POWER_BAND_EDGES) - 1):
-        sel = (freqs >= POWER_BAND_EDGES[i]) & (freqs < POWER_BAND_EDGES[i + 1])
-        log_powers.append(np.log(np.maximum(spec[sel].sum(), 1e-300)))
-
-    dx = np.diff(x)
-    ddx = np.diff(dx)
-    var_dx = dx.var()
-    mobility = np.sqrt(var_dx / var) if var > 0 else 0.0
-    mobility_dx = np.sqrt(ddx.var() / var_dx) if var_dx > 0 else 0.0
-    complexity = mobility_dx / mobility if mobility > 0 else 0.0
-    line_length = np.abs(dx).sum()
-    zero_crossings = int(np.sum(np.sign(x[:-1]) * np.sign(x[1:]) < 0))
-
-    return [mean, std, rms, kurtosis, skewness, q10, q25, q75, q90, ptp,
-            *log_powers, mobility, complexity, line_length,
-            float(zero_crossings)]
-
-
 def handcrafted_features(X: NDArray, sfreq: float) -> NDArray:
-    """Fixed per-channel statistics of one (C, T) window, concatenated over
-    channels; any non-finite entries are left for fit-time mean
-    imputation."""
+    """Fixed per-channel statistics of (..., C, T) windows, concatenated
+    over channels: shape (..., 22 * C), channel-major. Any non-finite
+    entries are left for fit-time mean imputation."""
     X = np.asarray(X, dtype=np.float64)
-    return np.concatenate([_channel_features(ch, sfreq) for ch in X])
+    T = X.shape[-1]
+    mean = X.mean(axis=-1)
+    centered = X - mean[..., None]
+    var = centered.var(axis=-1)
+    std = np.sqrt(var)
+    rms = np.sqrt(np.mean(X**2, axis=-1))
+    q10, q25, q75, q90 = np.quantile(X, (0.1, 0.25, 0.75, 0.9), axis=-1)
+    ptp = X.max(axis=-1) - X.min(axis=-1)
+
+    spec = np.abs(np.fft.rfft(X, axis=-1)) ** 2 / T
+    freqs = np.fft.rfftfreq(T, d=1.0 / sfreq)
+    # freqs is sorted, so each band [lo, hi) is a contiguous slice of bins.
+    edges = np.searchsorted(freqs, POWER_BAND_EDGES)
+    log_powers = [np.log(np.maximum(spec[..., lo:hi].sum(axis=-1), 1e-300))
+                  for lo, hi in zip(edges[:-1], edges[1:])]
+
+    dx = np.diff(X, axis=-1)
+    ddx = np.diff(dx, axis=-1)
+    var_dx = dx.var(axis=-1)
+    # Statistics with a zero denominator are 0; NaN compares false, so a
+    # non-finite channel gets 0 here too.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kurtosis = np.where(std > 0, np.mean(centered**4, axis=-1) / var**2
+                            - 3.0, 0.0)
+        skewness = np.where(std > 0, np.mean(centered**3, axis=-1) / std**3,
+                            0.0)
+        mobility = np.where(var > 0, np.sqrt(var_dx / var), 0.0)
+        mobility_dx = np.where(var_dx > 0,
+                               np.sqrt(ddx.var(axis=-1) / var_dx), 0.0)
+        complexity = np.where(mobility > 0, mobility_dx / mobility, 0.0)
+    line_length = np.abs(dx).sum(axis=-1)
+    zero_crossings = np.sum(np.sign(X[..., :-1]) * np.sign(X[..., 1:]) < 0,
+                            axis=-1)
+
+    feats = np.stack([mean, std, rms, kurtosis, skewness, q10, q25, q75, q90,
+                      ptp, *log_powers, mobility, complexity, line_length,
+                      zero_crossings.astype(np.float64)], axis=-1)
+    return feats.reshape(*feats.shape[:-2], -1)
 
 
 def impute_fit(features: NDArray) -> NDArray:
@@ -160,8 +160,7 @@ class LogisticRegression:
         self.layer = Dense("logreg", n_features, n_classes, self.store, rng)
         self.n_steps = n_steps
         self.cfg = TrainConfig(lr0=lr0, weight_decay=weight_decay,
-                               max_epochs=n_steps, t_max=n_steps,
-                               dropout_rate=0.0)
+                               max_epochs=n_steps, t_max=n_steps)
 
     def fit(self, features: NDArray, labels: NDArray,
             class_weights: NDArray | None = None) -> "LogisticRegression":

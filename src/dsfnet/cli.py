@@ -27,8 +27,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="experiment config file")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--out", required=True, help="output path")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel evaluation workers")
 
 
 def _load_configs(args):
@@ -143,6 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the corruption robustness sweep")
     _add_common(p)
     p.add_argument("--dataset", required=True, help="dataset file from gen")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel evaluation workers")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("inspect", help="dump per-window DSF filters")

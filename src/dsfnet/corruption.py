@@ -109,20 +109,21 @@ def recording_mask(C: int, spec: CorruptionSpec,
     return sample_mask(C, spec.p, rng)
 
 
-def corrupt_recording(windows: list[NDArray], spec: CorruptionSpec,
-                      rng: np.random.Generator) -> list[NDArray]:
-    """Corrupt every window with one shared mask; eta and sigma are redrawn
-    per window within the spec's ranges."""
+def corrupt_recording(windows: NDArray, spec: CorruptionSpec,
+                      rng: np.random.Generator) -> NDArray:
+    """Corrupt every window of an (n_win, C, T) recording with one shared
+    mask; eta and sigma are redrawn per window within the spec's ranges.
+    Every draw comes from the one rng, in window order."""
     if spec.scope != "per_recording":
         raise ValueError("corrupt_recording needs scope='per_recording'")
-    if not windows:
+    windows = np.asarray(windows, dtype=np.float64)
+    if len(windows) == 0:
         raise ValueError("recording has no windows")
-    C = windows[0].shape[0]
-    nu = recording_mask(C, spec, rng)
-    out = []
-    for X in windows:
+    nu = recording_mask(windows.shape[1], spec, rng)
+    out = np.empty_like(windows)
+    for i, X in enumerate(windows):
         eta, sigma = _draw_params(spec, rng)
-        out.append(corrupt_window(X, nu, eta, sigma, rng))
+        out[i] = corrupt_window(X, nu, eta, sigma, rng)
     return out
 
 

@@ -12,7 +12,7 @@ import csv
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -279,8 +279,8 @@ class FeatureModel:
         if self.kind == "riemann":
             covs = band_cov_stack(windows, self.sfreq)  # (n_win, bands, C, C)
             return riemann_vectorize(aggregate_recording(covs, "logm_mean"))
-        feats = [handcrafted_features(X, self.sfreq) for X in windows]
-        return aggregate_recording(feats, "median")
+        return aggregate_recording(handcrafted_features(windows, self.sfreq),
+                                   "median")
 
     def fit(self, dataset: Dataset, denoise: str,
             aug_spec: CorruptionSpec | None = None) -> "FeatureModel":
@@ -333,13 +333,10 @@ def _cell_spec(cfg: ExperimentConfig, eta: float,
 def corrupt_test_recordings(recordings: list[Recording],
                             spec: CorruptionSpec,
                             cell_seed: int) -> list[Recording]:
-    out = []
-    for rec in recordings:
-        rng = rng_for(cell_seed, rec.id)
-        windows = corrupt_recording(list(rec.windows), spec, rng)
-        out.append(Recording(id=rec.id, label=rec.label,
-                             windows=np.stack(windows)))
-    return out
+    return [Recording(id=rec.id, label=rec.label,
+                      windows=corrupt_recording(rec.windows, spec,
+                                                rng_for(cell_seed, rec.id)))
+            for rec in recordings]
 
 
 def evaluate_cell(model, recordings: list[Recording],
@@ -369,8 +366,7 @@ def train_model_unit(cfg: ExperimentConfig, dataset: Dataset, name: str,
         return model, None
     model = DeepModel(name, ds_cfg.n_channels, ds_cfg.n_times, cfg.net,
                       seed, c_prime=c_prime, tau=cfg.dsf_tau)
-    log = train_deep_model(model, dataset, replace(cfg.train, seed=seed),
-                           denoise, seed, aug)
+    log = train_deep_model(model, dataset, cfg.train, denoise, seed, aug)
     return model, log
 
 
@@ -457,38 +453,29 @@ def write_results_csv(rows: list[ResultRow], out_path: str) -> None:
 def inspect_filters(model: DeepModel, recordings: list[Recording],
                     spec: CorruptionSpec | None, seed: int,
                     dump_path: str | None = None):
-    """Per-window filter dump and per-channel contribution summary.
+    """Per-window filters and per-channel contribution summary.
 
-    Returns (records, summary) where each record is (window_index, W, b,
-    phi) and summary maps each channel to (q25, median, q75) of phi. When
-    a corruption spec is given, recordings are corrupted first.
+    Returns ((W, b, phi), summary): the filters W (n, C', C) and biases
+    b (n, C') applied to each of the n test windows, in recording order,
+    their channel contributions phi (n, C), and a map from each channel to
+    (q25, median, q75) of phi. When a corruption spec is given,
+    recordings are corrupted first. The dump has one CSV row per window:
+    its index, then W, b and phi flattened.
     """
     if model.name not in DSF_MODELS:
         raise ValueError(f"{model.name!r} is not a DSF-family model")
     if spec is not None:
         recordings = corrupt_test_recordings(recordings, spec, seed)
     module = model.front
-    records = []
-    phis = []
-    window_index = 0
-    for rec in recordings:
-        phi_in = module.summaries(rec.windows)
-        W, b = module.filters_from_summary(phi_in, model.store)
-        for i in range(len(rec.windows)):
-            phi = channel_contribution(W[i])
-            records.append((window_index, W[i], b[i], phi))
-            phis.append(phi)
-            window_index += 1
-    phis = np.stack(phis)
-    summary = {
-        ch: (float(np.quantile(phis[:, ch], 0.25)),
-             float(np.median(phis[:, ch])),
-             float(np.quantile(phis[:, ch], 0.75)))
-        for ch in range(phis.shape[1])
-    }
+    X = np.concatenate([rec.windows for rec in recordings])
+    W, b = module.filters_from_summary(module.summaries(X), model.store)
+    phi = channel_contribution(W)
+    quartiles = np.quantile(phi, (0.25, 0.5, 0.75), axis=0)
+    summary = {ch: tuple(float(q) for q in quartiles[:, ch])
+               for ch in range(phi.shape[1])}
     if dump_path is not None:
         write_csv_atomic(dump_path, (
-            [window_index] + [repr(v) for v in W.ravel()]
-            + [repr(v) for v in b] + [repr(v) for v in phi]
-            for window_index, W, b, phi in records))
-    return records, summary
+            [i] + [repr(v) for v in row]
+            for i, row in enumerate(np.concatenate(
+                [W.reshape(len(W), -1), b, phi], axis=1))))
+    return (W, b, phi), summary

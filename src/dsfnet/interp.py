@@ -36,7 +36,7 @@ class InterpModule:
     """One rung of the ablation ladder; batched forward/backward."""
 
     def __init__(self, kind: str, n_channels: int, store: ParamStore,
-                 rng: np.random.Generator, prefix: str = "interp"):
+                 rng: np.random.Generator):
         if kind not in INTERP_KINDS:
             raise ValueError(f"unknown interpolation kind: {kind!r}")
         self.kind = kind
@@ -47,15 +47,15 @@ class InterpModule:
             # Geometry-free start: every channel is the average of the others.
             W0 = np.full((C, C), 1.0 / (C - 1))
             np.fill_diagonal(W0, 0.0)
-            self.w_name = f"{prefix}.W"
+            self.w_name = "interp.W"
             store.add(self.w_name, W0)
 
         if kind != "interp_only":
             d_phi = phi_length(SUMMARY_KIND, C)
             out_dim = {"scalar": 1, "vector": C, "dynamic": C * C}[kind]
-            self.fc1 = Dense(f"{prefix}.fc1", d_phi, C * C, store, rng)
+            self.fc1 = Dense("interp.fc1", d_phi, C * C, store, rng)
             self.act = Sigmoid()
-            self.fc2 = Dense(f"{prefix}.fc2", C * C, out_dim, store, rng)
+            self.fc2 = Dense("interp.fc2", C * C, out_dim, store, rng)
 
     # The static matrix is used with its diagonal masked out, so the
     # diagonal entries carry no gradient; clamp_diagonal keeps the stored

@@ -131,8 +131,6 @@ class Layer:
     """Forward caches activations; backward returns the input gradient and
     accumulates parameter gradients into the store."""
 
-    param_names: tuple[str, ...] = ()
-
     def forward(self, x, store, train=False, rng=None):
         raise NotImplementedError
 
@@ -144,10 +142,8 @@ class Dense(Layer):
     """Affine map on the last axis: y = x @ W + b."""
 
     def __init__(self, name, in_dim, out_dim, store, rng):
-        self.name = name
         self.w_name = f"{name}.W"
         self.b_name = f"{name}.b"
-        self.param_names = (self.w_name, self.b_name)
         store.add(self.w_name, he_uniform_init((in_dim, out_dim), in_dim, rng))
         store.add(self.b_name, np.zeros(out_dim))
 
@@ -169,12 +165,10 @@ class TemporalConv(Layer):
     """
 
     def __init__(self, name, n_filters, kernel, store, rng):
-        self.name = name
         self.n_filters = n_filters
         self.kernel = kernel
         self.w_name = f"{name}.W"
         self.b_name = f"{name}.b"
-        self.param_names = (self.w_name, self.b_name)
         store.add(self.w_name, he_uniform_init((n_filters, kernel), kernel, rng))
         store.add(self.b_name, np.zeros(n_filters))
 
@@ -219,10 +213,8 @@ class SpatialConv(Layer):
     """
 
     def __init__(self, name, in_maps, out_maps, store, rng):
-        self.name = name
         self.w_name = f"{name}.W"
         self.b_name = f"{name}.b"
-        self.param_names = (self.w_name, self.b_name)
         store.add(self.w_name, he_uniform_init((in_maps, out_maps), in_maps, rng))
         store.add(self.b_name, np.zeros(out_maps))
 
@@ -377,18 +369,14 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.01
-    dropout_rate: float = 0.5
     max_epochs: int = 40
     patience: int = 7
     batch_size: int = 64
     t_max: int = 40
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.lr0 <= 0:
             raise ValueError("lr0 must be positive")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
 
@@ -431,8 +419,7 @@ class ShallowNet:
     """Temporal conv -> spatial conv -> square -> avg pool -> log -> dropout
     -> dense classifier, on (batch, channels, time) input."""
 
-    def __init__(self, n_channels, n_times, cfg: ShallowNetConfig, store, rng,
-                 prefix="net"):
+    def __init__(self, n_channels, n_times, cfg: ShallowNetConfig, store, rng):
         self.cfg = cfg
         t_conv = n_times - cfg.temporal_kernel + 1
         if t_conv < cfg.pool_width:
@@ -442,9 +429,9 @@ class ShallowNet:
             )
         n_pool = (t_conv - cfg.pool_width) // cfg.pool_stride + 1
         self.layers = [
-            TemporalConv(f"{prefix}.tconv", cfg.n_temporal_filters,
+            TemporalConv("net.tconv", cfg.n_temporal_filters,
                          cfg.temporal_kernel, store, rng),
-            SpatialConv(f"{prefix}.sconv",
+            SpatialConv("net.sconv",
                         n_channels * cfg.n_temporal_filters,
                         cfg.n_spatial_filters, store, rng),
             Square(),
@@ -452,7 +439,7 @@ class ShallowNet:
             LogFloor(),
             Dropout(cfg.dropout_rate),
             Flatten(),
-            Dense(f"{prefix}.out", cfg.n_spatial_filters * n_pool,
+            Dense("net.out", cfg.n_spatial_filters * n_pool,
                   cfg.n_classes, store, rng),
         ]
 

@@ -37,8 +37,11 @@ class SynthConfig:
     sensor_noise_std_uv: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.n_channels < 2:
-            raise ValueError("need at least 2 channels")
+        if self.n_channels < 3:
+            raise ValueError("n_channels must be >= 3 so that the three "
+                             "sources (two class oscillations and the "
+                             "distractor) mix at full rank, got "
+                             f"{self.n_channels}")
         if self.n_times < 128:
             raise ValueError("need at least 128 samples per window")
         if not 1 <= self.n_classes <= 3:
@@ -189,7 +192,11 @@ def load_dataset(path: str) -> Dataset:
         recordings = []
         splits: dict[int, str] = {}
         for _ in range(n_rec):
+            tag_offset = f.tell() + struct.calcsize("<QB")
             rec_id, label, tag_code, n_win = unpack_exact(f, "<QBBI", path)
+            if tag_code not in tags:
+                raise ValueError(f"{path}: unknown split tag {tag_code} at "
+                                 f"byte offset {tag_offset}")
             windows = read_float64(f, (n_win, C, T), path)
             recordings.append(Recording(id=rec_id, label=label,
                                         windows=windows))

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from dsfnet.attention import (DsfConfig, DsfModule, SpatialFilterSet,
-                              bind_module, channel_contribution,
-                              dsf_forward, dsf_param_count, soft_threshold,
+from dsfnet.attention import (DsfConfig, DsfModule, channel_contribution,
+                              dsf_param_count, soft_threshold,
                               soft_threshold_subgradient)
 from dsfnet.nn import ParamStore, softmax_xent
 from dsfnet.seeding import rng_for
@@ -70,23 +69,30 @@ def test_channel_contribution_oracle():
     assert channel_contribution(W)[0] == 0.0
 
 
+def test_channel_contribution_stack_equals_per_matrix(rng):
+    W = rng.normal(size=(5, 3, 4))
+    phi = channel_contribution(W)
+    assert phi.shape == (5, 4)
+    assert np.array_equal(phi, np.stack([channel_contribution(w) for w in W]))
+
+
 def test_forward_applies_returned_filters(rng):
-    cfg, store, module = make_module("dsfm_st", C=4, C_prime=3)
-    X = rng.normal(size=(4, 200))
-    Y, filters = dsf_forward(X, store, cfg, module)
-    assert isinstance(filters, SpatialFilterSet)
-    assert filters.W.shape == (3, 4)
-    np.testing.assert_allclose(Y, filters.W @ X + filters.b[:, None],
-                               rtol=1e-12, atol=1e-12)
+    _, store, module = make_module("dsfm_st", C=4, C_prime=3)
+    X = rng.normal(size=(2, 4, 200))
+    Y = module.forward(X, store)
+    W, b = module._W, module._b
+    assert W.shape == (2, 3, 4) and b.shape == (2, 3)
+    for i in range(2):
+        np.testing.assert_allclose(Y[i], W[i] @ X[i] + b[i][:, None],
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_thresholded_variant_with_zero_tau_matches_plain(rng):
     X = rng.normal(size=(2, 3, 150))
-    cfg_st, store, module_st = make_module("dsfm_st", tau=0.0, seed=5)
-    cfg_m = DsfConfig(variant="dsfm", n_channels=3, n_virtual=3)
-    module_m = bind_module(cfg_m, store)
-    np.testing.assert_allclose(module_st.forward(X, store),
-                               module_m.forward(X, store),
+    _, store_st, module_st = make_module("dsfm_st", tau=0.0, seed=5)
+    _, store_m, module_m = make_module("dsfm", seed=5)
+    np.testing.assert_allclose(module_st.forward(X, store_st),
+                               module_m.forward(X, store_m),
                                rtol=0, atol=1e-14)
 
 
@@ -99,23 +105,24 @@ def test_thresholding_sparsifies_filters(rng):
 
 
 def test_batch_forward_matches_per_window(rng):
-    cfg, store, module = make_module("dsfd", C=4, C_prime=4)
+    _, store, module = make_module("dsfd", C=4, C_prime=4)
     X = rng.normal(size=(3, 4, 120))
     Y = module.forward(X, store)
     for i in range(3):
-        yi, _ = dsf_forward(X[i], store, cfg, bind_module(cfg, store))
-        np.testing.assert_allclose(Y[i], yi, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(Y[i], module.forward(X[i:i + 1], store)[0],
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_filters_depend_on_window_statistics(rng):
     # Scaling one channel changes the summary and therefore the filters.
-    cfg, store, module = make_module("dsfm", C=3, C_prime=3)
-    X = rng.normal(size=(3, 300))
-    _, f1 = dsf_forward(X, store, cfg, module)
+    _, store, module = make_module("dsfm", C=3, C_prime=3)
+    X = rng.normal(size=(1, 3, 300))
+    module.forward(X, store)
+    W1 = module._W.copy()
     X2 = X.copy()
-    X2[0] *= 10.0
-    _, f2 = dsf_forward(X2, store, cfg, module)
-    assert np.max(np.abs(f1.W - f2.W)) > 1e-6
+    X2[0, 0] *= 10.0
+    module.forward(X2, store)
+    assert np.max(np.abs(W1 - module._W)) > 1e-6
 
 
 def test_no_gradient_through_summary(rng):
@@ -167,8 +174,3 @@ def test_gradients_through_classifier_loss():
 
     assert finite_diff_max_rel_error(store, loss_fn) < 1e-4
 
-
-def test_bind_module_requires_existing_params():
-    cfg = DsfConfig(variant="dsfd", n_channels=3, n_virtual=3)
-    with pytest.raises(ValueError, match="missing"):
-        bind_module(cfg, ParamStore())

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from dsfnet.baselines import (HANDCRAFTED_NAMES, RIEMANN_BANDS,
-                              LogisticRegression, aggregate_recording,
-                              band_cov_stack, bandpass_filterbank,
-                              handcrafted_features, handcrafted_length,
-                              impute_apply, impute_fit, riemann_length,
-                              riemann_vectorize, zscore_apply, zscore_fit)
+from dsfnet.baselines import (HANDCRAFTED_NAMES, POWER_BAND_EDGES,
+                              RIEMANN_BANDS, LogisticRegression,
+                              aggregate_recording, band_cov_stack,
+                              bandpass_filterbank, handcrafted_features,
+                              handcrafted_length, impute_apply, impute_fit,
+                              riemann_length, riemann_vectorize, zscore_apply,
+                              zscore_fit)
 
 from conftest import random_spd
 
@@ -75,6 +76,46 @@ def test_handcrafted_sine_oracle():
     assert best == "logpow_4_8"
     assert named["hjorth_mobility"] == pytest.approx(
         2 * np.sin(np.pi * 5.0 / 100.0), rel=1e-3)
+
+
+def reference_channel_features(x, sfreq):
+    """The 22 features of one channel, one statistic at a time."""
+    T = len(x)
+    centered = x - x.mean()
+    var = centered.var()
+    std = np.sqrt(var)
+    moments = ([np.mean(centered**4) / var**2 - 3.0,
+                np.mean(centered**3) / std**3] if std > 0 else [0.0, 0.0])
+    spec = np.abs(np.fft.rfft(x)) ** 2 / T
+    freqs = np.fft.rfftfreq(T, d=1.0 / sfreq)
+    edges = POWER_BAND_EDGES
+    log_powers = [
+        np.log(max(spec[(freqs >= lo) & (freqs < hi)].sum(), 1e-300))
+        for lo, hi in zip(edges[:-1], edges[1:])]
+    dx = np.diff(x)
+    var_dx = dx.var()
+    mobility = np.sqrt(var_dx / var) if var > 0 else 0.0
+    mobility_dx = np.sqrt(np.diff(dx).var() / var_dx) if var_dx > 0 else 0.0
+    complexity = mobility_dx / mobility if mobility > 0 else 0.0
+    return [x.mean(), std, np.sqrt(np.mean(x**2)), *moments,
+            *np.quantile(x, (0.1, 0.25, 0.75, 0.9)), x.max() - x.min(),
+            *log_powers, mobility, complexity, np.abs(dx).sum(),
+            float(np.sum(np.sign(x[:-1]) * np.sign(x[1:]) < 0))]
+
+
+def test_handcrafted_matches_per_channel_reference(rng):
+    X = rng.normal(size=(3, 4, 300)) * 20.0
+    X[0, 1] = 0.0  # flat
+    X[1, 2] = 1.5  # constant
+    X[2, 3] = X[2, 0]  # duplicated
+    got = handcrafted_features(X, 100.0).reshape(3, 4, -1)
+    ref = np.array([[reference_channel_features(ch, 100.0) for ch in x]
+                    for x in X])
+    # Array powers round differently from scalar ones by a few ulp.
+    moments = np.isin(HANDCRAFTED_NAMES, ("kurtosis", "skewness"))
+    assert np.array_equal(got[..., ~moments], ref[..., ~moments])
+    np.testing.assert_allclose(got[..., moments], ref[..., moments],
+                               rtol=1e-13, atol=1e-14)
 
 
 def test_handcrafted_flat_channel_is_finite():

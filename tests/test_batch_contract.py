@@ -1,8 +1,10 @@
-"""Batch contract of the SPD-summary path.
+"""Batch contract of the window-level feature path.
 
 Each summary function applied to a stack of windows must give, bit for
 bit, what it gives window by window, including on flat and duplicated
-channels; a non-finite entry anywhere in the stack must raise.
+channels; a non-finite entry anywhere in the stack must raise. The
+handcrafted features instead carry non-finite entries through to
+fit-time imputation.
 """
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsfnet.baselines import band_cov_stack
+from dsfnet.baselines import (HANDCRAFTED_NAMES, band_cov_stack,
+                              handcrafted_features)
 from dsfnet.linalg import matrix_log_eig, oas_shrink, sample_covariance
 from dsfnet.spatial import phi_logm_cov, phi_logvar
 
@@ -68,3 +71,22 @@ def test_non_finite_window_anywhere_raises(name, X, data):
     X[idx] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     with pytest.raises(ValueError, match="non-finite"):
         BATCHED[name](X)
+
+
+@settings(max_examples=40, deadline=None)
+@given(X=window_stacks(), data=st.data())
+def test_handcrafted_stack_equals_window_by_window(X, data):
+    n_win, C, T = X.shape
+    for _ in range(data.draw(st.integers(0, 2))):
+        X[data.draw(st.integers(0, n_win - 1)),
+          data.draw(st.integers(0, C - 1)),
+          data.draw(st.integers(0, T - 1))] = np.nan
+    stack = handcrafted_features(X, SFREQ).reshape(n_win, C, -1)
+    windows = per_window(lambda x: handcrafted_features(x, SFREQ),
+                         X).reshape(n_win, C, -1)
+    # Kurtosis and skewness go through array powers: allow a few ulp.
+    moments = np.isin(HANDCRAFTED_NAMES, ("kurtosis", "skewness"))
+    assert np.array_equal(stack[..., ~moments], windows[..., ~moments],
+                          equal_nan=True)
+    np.testing.assert_allclose(stack[..., moments], windows[..., moments],
+                               rtol=1e-14, atol=0)

@@ -107,6 +107,18 @@ def test_inspect_rejects_non_dsf_model(tmp_path, cfg_path, dataset_path):
                  "--out", str(tmp_path / "f.csv")]) == 2
 
 
+@pytest.mark.parametrize("command", ["gen", "train", "inspect",
+                                     "taylor-bench"])
+def test_jobs_is_a_sweep_option_only(tmp_path, command, capsys):
+    argv = [command, "--out", str(tmp_path / "out"), "--jobs", "2"]
+    if command in ("train", "inspect"):
+        argv += ["--dataset", str(tmp_path / "data.bin")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
 def test_taylor_bench_curve_and_csv(tmp_path, cfg_path):
     out = str(tmp_path / "taylor.csv")
     assert main(["taylor-bench", "--config", cfg_path(), "--seed", "0",

@@ -84,6 +84,14 @@ def test_unknown_section_and_key_rejected(tmp_path):
         load_experiment_config(write(tmp_path, "[data]\nbogus = 1\n"))
 
 
+@pytest.mark.parametrize("key", ["dropout_rate", "seed"])
+def test_removed_train_keys_rejected(tmp_path, key):
+    # Dropout lives in [net]; the training seed comes from --seed.
+    with pytest.raises(ConfigError,
+                       match=rf"unknown key '{key}' in \[train\]"):
+        load_experiment_config(write(tmp_path, f"[train]\n{key} = 1\n"))
+
+
 def test_invalid_model_rejected_by_experiment_config(tmp_path):
     with pytest.raises(ValueError, match="unknown model"):
         load_experiment_config(write(tmp_path, "[sweep]\nmodels = resnet\n"))

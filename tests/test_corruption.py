@@ -110,9 +110,10 @@ def test_recording_mask_forced_mask(rng):
 
 def test_corrupt_recording_shares_one_mask():
     rng = np.random.default_rng(4)
-    windows = [rng.normal(size=(5, 400)) for _ in range(8)]
+    windows = rng.normal(size=(8, 5, 400))
     spec = CorruptionSpec(scope="per_recording", eta_range=(1.0, 1.0))
     out = corrupt_recording(windows, spec, rng_for(0, 7))
+    assert out.shape == windows.shape
     # Re-derive the mask the function drew.
     nu = recording_mask(5, spec, rng_for(0, 7))
     for Xin, Xout in zip(windows, out):
@@ -125,10 +126,10 @@ def test_corrupt_recording_shares_one_mask():
 
 def test_corrupt_recording_validation(rng):
     with pytest.raises(ValueError):
-        corrupt_recording([np.zeros((2, 300))], CorruptionSpec(), rng)
+        corrupt_recording(np.zeros((1, 2, 300)), CorruptionSpec(), rng)
     spec = CorruptionSpec(scope="per_recording")
     with pytest.raises(ValueError):
-        corrupt_recording([], spec, rng)
+        corrupt_recording(np.zeros((0, 2, 300)), spec, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dsfnet.attention import channel_contribution
 from dsfnet.corruption import CorruptionSpec
 from dsfnet.harness import (RANDOM_MASK, RESULT_HEADER, DeepModel,
                             ExperimentConfig, FeatureModel, _cell_spec,
@@ -272,17 +273,29 @@ def test_inspect_filters(tmp_path):
     ds = tiny_dataset()
     model = DeepModel("dsfm_st", 3, 128, TINY_NET, seed=6)
     dump = str(tmp_path / "filters.csv")
-    records, summary = inspect_filters(model, ds.split("test"), None, 0,
-                                       dump_path=dump)
+    (W, b, phi), summary = inspect_filters(model, ds.split("test"), None, 0,
+                                           dump_path=dump)
     n_windows = sum(len(r.windows) for r in ds.split("test"))
-    assert len(records) == n_windows
-    idx, W, b, phi = records[0]
-    assert idx == 0 and W.shape == (3, 3) and b.shape == (3,)
-    np.testing.assert_allclose(phi, np.linalg.norm(W, axis=0), rtol=1e-12)
+    assert W.shape == (n_windows, 3, 3) and b.shape == (n_windows, 3)
+    np.testing.assert_allclose(phi, np.linalg.norm(W, axis=1), rtol=1e-12)
     assert set(summary) == {0, 1, 2}
     for q25, med, q75 in summary.values():
         assert q25 <= med <= q75
     assert len(open(dump).read().splitlines()) == n_windows
+
+
+def test_inspect_filters_rows_equal_per_recording_filters():
+    ds = tiny_dataset()
+    model = DeepModel("dsfm_st", 3, 128, TINY_NET, seed=6)
+    recs = ds.split("test")
+    (W, b, phi), _ = inspect_filters(model, recs, None, 0)
+    module = model.front
+    per_rec = [module.filters_from_summary(module.summaries(r.windows),
+                                           model.store) for r in recs]
+    W_rec = np.concatenate([w for w, _ in per_rec])
+    assert np.array_equal(W, W_rec)
+    assert np.array_equal(b, np.concatenate([bias for _, bias in per_rec]))
+    assert np.array_equal(phi, channel_contribution(W_rec))
 
 
 def test_inspect_filters_rejects_non_dsf():

@@ -400,6 +400,4 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr0=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(dropout_rate=1.0)
-    with pytest.raises(ValueError):
         TrainConfig(patience=50, max_epochs=40)

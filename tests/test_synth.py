@@ -15,9 +15,14 @@ TINY = SynthConfig(n_channels=3, n_times=128, n_recordings=8,
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SynthConfig(n_channels=1)
-    with pytest.raises(ValueError):
         SynthConfig(n_times=64)
+
+
+@pytest.mark.parametrize("n_channels", [1, 2])
+def test_config_rejects_fewer_channels_than_sources(n_channels):
+    # Three sources need three channels for a full-rank mixing matrix.
+    with pytest.raises(ValueError, match="three sources"):
+        SynthConfig(n_channels=n_channels)
 
 
 @pytest.mark.parametrize("n_classes", [0, 4])
@@ -144,6 +149,19 @@ def test_load_rejects_trailing_bytes(tmp_path, dataset_bytes):
     where = re.escape(str(path))
     with pytest.raises(ValueError,
                        match=f"{where}: .*trailing bytes at byte offset {offset}"):
+        load_dataset(str(path))
+
+
+def test_load_rejects_unknown_split_tag(tmp_path, dataset_bytes):
+    # Header: magic, version, C, T, sfreq, count (28 bytes); the first
+    # record's tag follows its 8-byte id and 1-byte label.
+    data = bytearray(dataset_bytes)
+    data[37] = 9
+    path = tmp_path / "badtag.bin"
+    path.write_bytes(bytes(data))
+    where = re.escape(str(path))
+    with pytest.raises(ValueError,
+                       match=f"{where}: unknown split tag 9 at byte offset 37"):
         load_dataset(str(path))
 
 

@@ -11,8 +11,7 @@ from .corruption import (CorruptionSpec, augment_batch, corrupt_recording,
                          corrupt_window, corruption_fraction, psd_slope,
                          sample_mask)
 from .harness import (DeepModel, ExperimentConfig, FeatureModel, ResultRow,
-                      balanced_accuracy, recording_predict, run_sweep,
-                      train_deep_model)
+                      balanced_accuracy, run_sweep, train_deep_model)
 from .interp import InterpModule, dynamic_omega
 from .linalg import (matrix_exp_eig, matrix_log_eig, matrix_log_taylor,
                      oas_shrink, sample_covariance, sym_eig, vec_upper)

@@ -22,7 +22,6 @@ class DsfConfig:
     variant: str = "dsfm_st"
     n_channels: int = 6
     n_virtual: int = 6  # C': output (virtual) channel count
-    hidden: int | None = None  # default C^2
     tau: float = 0.1
 
     def __post_init__(self) -> None:
@@ -30,8 +29,6 @@ class DsfConfig:
             raise ValueError(f"unknown DSF variant: {self.variant!r}")
         if self.n_virtual < 1:
             raise ValueError("n_virtual must be >= 1")
-        if self.hidden is not None and self.hidden < 1:
-            raise ValueError("hidden size must be >= 1")
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
 
@@ -41,7 +38,7 @@ class DsfConfig:
 
     @property
     def hidden_size(self) -> int:
-        return self.n_channels**2 if self.hidden is None else self.hidden
+        return self.n_channels**2
 
     @property
     def summary_length(self) -> int:

@@ -19,6 +19,9 @@ RIEMANN_BANDS = ((0.1, 1.5), (1.5, 4.0), (4.0, 8.0), (8.0, 15.0),
 
 POWER_BAND_EDGES = (0.0, 2.0, 4.0, 8.0, 13.0, 18.0, 24.0, 30.0, 49.0)
 
+LOGREG_LR0 = 0.05
+LOGREG_WEIGHT_DECAY = 1e-4
+
 # Per-channel handcrafted feature schema, in order. 22 features: five
 # moment/amplitude statistics, four quantiles, peak-to-peak, eight log band
 # powers, Hjorth mobility and complexity, line length and zero crossings.
@@ -40,22 +43,21 @@ def handcrafted_length(n_channels: int) -> int:
     return len(HANDCRAFTED_NAMES) * n_channels
 
 
-def bandpass_filterbank(X: NDArray, sfreq: float,
-                        bands=RIEMANN_BANDS) -> NDArray:
-    """Zero-phase brick-wall band filters: zero DFT bins outside each band.
+def bandpass_filterbank(X: NDArray, sfreq: float) -> NDArray:
+    """Zero-phase brick-wall RIEMANN_BANDS filters: zero out-of-band bins.
 
     Maps (..., C, T) windows to (..., n_bands, C, T).
     """
     X = np.asarray(X, dtype=np.float64)
     T = X.shape[-1]
     nyquist = sfreq / 2.0
-    for f_lo, f_hi in bands:
+    for f_lo, f_hi in RIEMANN_BANDS:
         if f_hi > nyquist:
             raise ValueError(f"band ({f_lo}, {f_hi}) Hz exceeds Nyquist "
                              f"{nyquist} Hz")
     spec = np.fft.rfft(X, axis=-1)[..., None, :, :]
     freqs = np.fft.rfftfreq(T, d=1.0 / sfreq)
-    lo, hi = np.asarray(bands, dtype=np.float64).T
+    lo, hi = np.asarray(RIEMANN_BANDS, dtype=np.float64).T
     keep = (freqs >= lo[:, None]) & (freqs <= hi[:, None])  # (n_bands, F)
     return np.fft.irfft(spec * keep[:, None, :], n=T, axis=-1)
 
@@ -153,13 +155,13 @@ class LogisticRegression:
     """Linear softmax classifier trained with AdamW full-batch."""
 
     def __init__(self, n_features: int, n_classes: int, seed: int = 0,
-                 n_steps: int = 500, lr0: float = 0.05,
-                 weight_decay: float = 1e-4):
+                 n_steps: int = 500):
         self.store = ParamStore()
         rng = np.random.default_rng(seed)
         self.layer = Dense("logreg", n_features, n_classes, self.store, rng)
         self.n_steps = n_steps
-        self.cfg = TrainConfig(lr0=lr0, weight_decay=weight_decay,
+        self.cfg = TrainConfig(lr0=LOGREG_LR0,
+                               weight_decay=LOGREG_WEIGHT_DECAY,
                                max_epochs=n_steps, t_max=n_steps)
 
     def fit(self, features: NDArray, labels: NDArray,

@@ -13,9 +13,9 @@ import sys
 import numpy as np
 
 from .config import load_experiment_config
-from .harness import (DEEP_MODELS, DSF_MODELS, ExperimentConfig,
-                      FeatureModel, inspect_filters, run_sweep,
-                      train_model_unit, write_csv_atomic)
+from .harness import (DSF_MODELS, ExperimentConfig, FeatureModel,
+                      inspect_filters, run_sweep, train_model_unit,
+                      write_csv_atomic)
 from .corruption import CorruptionSpec
 from .linalg import matrix_log_eig, matrix_log_taylor, oas_shrink, \
     sample_covariance

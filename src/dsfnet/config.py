@@ -62,8 +62,7 @@ def _int_tuple(value: str) -> tuple[int, ...]:
     return tuple(int(v) for v in value.split(",") if v.strip())
 
 
-def _apply_section(obj, section: dict[str, str], name: str,
-                   special: dict | None = None):
+def _apply_section(obj, section: dict[str, str], special: dict | None = None):
     special = special or {}
     valid = {f.name: f.type for f in fields(obj)}
     updates = {}
@@ -85,7 +84,7 @@ def _apply_section(obj, section: dict[str, str], name: str,
             else:
                 updates[key] = value
         else:
-            raise ConfigError(f"unknown key {key!r} in [{name}]")
+            raise ConfigError(f"unknown key {key!r}")
     return replace(obj, **updates)
 
 
@@ -110,17 +109,22 @@ def load_experiment_config(path: str) -> tuple[SynthConfig, ExperimentConfig]:
         sections = parse_config_text(f.read())
     for name in sections:
         if name not in KNOWN_SECTIONS:
-            raise ConfigError(f"unknown section [{name}]")
+            raise ConfigError(f"{path}: unknown section [{name}]")
 
-    data_cfg = _apply_section(SynthConfig(), sections.get("data", {}), "data")
-    train_cfg = _apply_section(TrainConfig(), sections.get("train", {}),
-                               "train")
-    net_cfg = _apply_section(ShallowNetConfig(), sections.get("net", {}),
-                             "net")
-    sweep_cfg = ExperimentConfig(models=[("vanilla", "none")],
-                                 train=train_cfg, net=net_cfg)
-    sweep_cfg = _apply_section(
-        sweep_cfg, sections.get("sweep", {}), "sweep",
+    def apply(obj, name: str, special: dict | None = None):
+        # Coercion and the dataclass checks raise plain ValueErrors.
+        try:
+            return _apply_section(obj, sections.get(name, {}), special)
+        except ValueError as e:
+            raise ConfigError(f"{path}: {e} in [{name}]") from e
+
+    data_cfg = apply(SynthConfig(), "data")
+    train_cfg = apply(TrainConfig(), "train")
+    net_cfg = apply(ShallowNetConfig(), "net")
+    sweep_cfg = apply(
+        ExperimentConfig(models=[("vanilla", "none")], train=train_cfg,
+                         net=net_cfg),
+        "sweep",
         special={
             "models": _parse_models,
             "eta_grid": _float_tuple,

@@ -13,6 +13,10 @@ from numpy.typing import NDArray
 
 from .seeding import rng_for
 
+# Detector thresholds: a channel-window is flagged above both.
+SLOPE_THRESH = -0.5
+VAR_THRESH_UV2 = 1000.0
+
 
 @dataclass(frozen=True)
 class CorruptionSpec:
@@ -148,13 +152,11 @@ def psd_slope(x: NDArray, f_lo: float, f_hi: float, sfreq: float) -> float:
     return float(slope)
 
 
-def corruption_fraction(windows: list[NDArray], sfreq: float,
-                        slope_thresh: float = -0.5,
-                        var_thresh_uv2: float = 1000.0) -> float:
+def corruption_fraction(windows: list[NDArray], sfreq: float) -> float:
     """Fraction of (window, channel) pairs flagged as corrupted.
 
     A channel-window is flagged when its 0.1-30 Hz spectral slope is above
-    slope_thresh and its variance is above var_thresh_uv2: flat-spectrum,
+    SLOPE_THRESH and its variance is above VAR_THRESH_UV2: flat-spectrum,
     high-power content that physiological signal does not produce.
     """
     if not windows:
@@ -164,8 +166,8 @@ def corruption_fraction(windows: list[NDArray], sfreq: float,
     for X in windows:
         for ch in np.asarray(X, dtype=np.float64):
             total += 1
-            if ch.var() <= var_thresh_uv2:
+            if ch.var() <= VAR_THRESH_UV2:
                 continue
-            if psd_slope(ch, 0.1, 30.0, sfreq) > slope_thresh:
+            if psd_slope(ch, 0.1, 30.0, sfreq) > SLOPE_THRESH:
                 flagged += 1
     return flagged / total

@@ -9,15 +9,17 @@ row per cell, seed and model unit.
 """
 
 import csv
+import itertools
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .attention import DsfConfig, DsfModule, channel_contribution
+from .attention import VARIANTS, DsfConfig, DsfModule, channel_contribution
 from .baselines import (LogisticRegression, aggregate_recording,
                         band_cov_stack, handcrafted_features, impute_apply,
                         impute_fit, riemann_vectorize, zscore_apply,
@@ -29,11 +31,10 @@ from .nn import (ParamStore, ShallowNet, ShallowNetConfig, TrainConfig,
 from .seeding import derive_seed, rng_for
 from .synth import Dataset, Recording
 
-DEEP_MODELS = ("vanilla", "dsfd", "dsfm", "dsfm_st",
-               "interp_only", "scalar", "vector", "dynamic")
+DSF_MODELS = VARIANTS
+DEEP_MODELS = ("vanilla",) + VARIANTS + INTERP_KINDS
 FEATURE_MODELS = ("riemann", "handcrafted")
 MODEL_NAMES = DEEP_MODELS + FEATURE_MODELS
-DSF_MODELS = ("dsfd", "dsfm", "dsfm_st")
 
 RESULT_HEADER = ("seed", "split_id", "model", "denoise", "eta",
                  "n_corrupted", "c_prime", "metric", "value")
@@ -80,7 +81,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown denoise strategy: {denoise!r}")
         if any(not 0.0 <= e <= 1.0 for e in self.eta_grid):
             raise ValueError("eta grid must lie inside [0, 1]")
-        if self.metric not in ("accuracy", "balanced_accuracy"):
+        if self.metric not in METRICS:
             raise ValueError(f"unknown metric: {self.metric!r}")
 
 
@@ -105,12 +106,13 @@ def accuracy(preds: NDArray, labels: NDArray) -> float:
     return float(np.mean(np.asarray(preds) == np.asarray(labels)))
 
 
+METRICS = {"accuracy": accuracy, "balanced_accuracy": balanced_accuracy}
+
+
 def compute_metric(name: str, preds: NDArray, labels: NDArray) -> float:
-    if name == "balanced_accuracy":
-        return balanced_accuracy(preds, labels)
-    if name == "accuracy":
-        return accuracy(preds, labels)
-    raise ValueError(f"unknown metric: {name!r}")
+    if name not in METRICS:
+        raise ValueError(f"unknown metric: {name!r}")
+    return METRICS[name](preds, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -130,22 +132,16 @@ class DeepModel:
         self.store = ParamStore()
         rng = rng_for(seed, 0xD5F)
         self.front: DsfModule | InterpModule | None = None
-        net_channels = n_channels
+        self.c_prime = 0  # virtual channel count; 0 without a DSF front end
         if name in DSF_MODELS:
-            self.dsf_cfg = DsfConfig(
-                variant=name, n_channels=n_channels,
-                n_virtual=c_prime if c_prime else n_channels, tau=tau)
-            self.front = DsfModule(self.dsf_cfg, self.store, rng)
-            net_channels = self.dsf_cfg.n_virtual
+            self.c_prime = c_prime or n_channels
+            self.front = DsfModule(
+                DsfConfig(variant=name, n_channels=n_channels,
+                          n_virtual=self.c_prime, tau=tau), self.store, rng)
         elif name in INTERP_KINDS:
             self.front = InterpModule(name, n_channels, self.store, rng)
-        self.net = ShallowNet(net_channels, n_times, net_cfg, self.store, rng)
-
-    @property
-    def c_prime(self) -> int:
-        if self.name in DSF_MODELS:
-            return self.dsf_cfg.n_virtual
-        return 0
+        self.net = ShallowNet(self.c_prime or n_channels, n_times, net_cfg,
+                              self.store, rng)
 
     def forward(self, X: NDArray, train: bool = False,
                 rng: np.random.Generator | None = None) -> NDArray:
@@ -158,12 +154,16 @@ class DeepModel:
         if self.front is not None:
             self.front.backward(dX, self.store)
 
-    def post_step(self) -> None:
-        if isinstance(self.front, InterpModule):
-            self.front.clamp_diagonal(self.store)
-
     def predict_proba(self, X: NDArray) -> NDArray:
         return softmax(self.forward(X))
+
+    def predict_recording(self, windows: NDArray) -> int:
+        """Argmax of the mean window probabilities; ties go to the lowest
+        class index."""
+        if len(windows) == 0:
+            raise ValueError("recording has no windows")
+        return int(np.argmax(self.predict_proba(np.asarray(windows))
+                             .mean(axis=0)))
 
 
 @dataclass
@@ -221,7 +221,6 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
             model.backward(dlogits)
             step += 1
             adamw_step(model.store, lr, cfg, step)
-            model.post_step()
             epoch_loss += loss * len(idx)
         train_losses.append(epoch_loss / n)
 
@@ -249,15 +248,6 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
                     best_epoch=best_epoch)
 
 
-def recording_predict(model, recording_windows: NDArray) -> int:
-    """Argmax of the mean window probabilities; ties go to the lowest
-    class index."""
-    if len(recording_windows) == 0:
-        raise ValueError("recording has no windows")
-    probs = model.predict_proba(np.asarray(recording_windows))
-    return int(np.argmax(probs.mean(axis=0)))
-
-
 # ---------------------------------------------------------------------------
 # Feature models
 
@@ -266,6 +256,7 @@ class FeatureModel:
     """Recording-level feature pipeline + logistic regression."""
 
     N_AUG_COPIES = 5  # augmented replicas per training recording
+    c_prime = 0  # no virtual channels
 
     def __init__(self, kind: str, sfreq: float, n_classes: int, seed: int):
         if kind not in FEATURE_MODELS:
@@ -344,15 +335,9 @@ def evaluate_cell(model, recordings: list[Recording],
                   metric: str) -> float:
     corrupted = (recordings if spec.eta_range == (0.0, 0.0)
                  else corrupt_test_recordings(recordings, spec, cell_seed))
-    preds = []
-    labels = []
-    for rec in corrupted:
-        if isinstance(model, FeatureModel):
-            preds.append(model.predict_recording(rec.windows))
-        else:
-            preds.append(recording_predict(model, rec.windows))
-        labels.append(rec.label)
-    return compute_metric(metric, np.asarray(preds), np.asarray(labels))
+    preds = [model.predict_recording(rec.windows) for rec in corrupted]
+    return compute_metric(metric, np.asarray(preds),
+                          np.asarray([rec.label for rec in corrupted]))
 
 
 def train_model_unit(cfg: ExperimentConfig, dataset: Dataset, name: str,
@@ -370,55 +355,52 @@ def train_model_unit(cfg: ExperimentConfig, dataset: Dataset, name: str,
     return model, log
 
 
-def _evaluate_task(args):
-    model, recordings, spec, cell_seed, metric, row_key = args
-    value = evaluate_cell(model, recordings, spec, cell_seed, metric)
-    seed, name, denoise, eta, n_corrupted, c_prime = row_key
-    return ResultRow(seed=seed, split_id=0, model=name, denoise=denoise,
-                     eta=eta, n_corrupted=n_corrupted, c_prime=c_prime,
-                     metric=metric, value=value)
+def _evaluate_unit(cfg: ExperimentConfig, recordings: list[Recording],
+                   unit) -> list[ResultRow]:
+    """Evaluate one trained unit on every grid cell, in (eta, count)
+    order. Cell i of unit u is seeded by cell index u * n_cells + i."""
+    u, (name, denoise, seed, model) = unit
+    cells = list(itertools.product(cfg.eta_grid, cfg.count_grid))
+    return [ResultRow(seed=seed, split_id=0, model=name, denoise=denoise,
+                      eta=eta, n_corrupted=count, c_prime=model.c_prime,
+                      metric=cfg.metric,
+                      value=evaluate_cell(
+                          model, recordings, _cell_spec(cfg, eta, count),
+                          derive_seed(cfg.master_seed, u * len(cells) + i),
+                          cfg.metric))
+            for i, (eta, count) in enumerate(cells)]
 
 
 def run_sweep(cfg: ExperimentConfig, dataset: Dataset, out_path: str,
               jobs: int = 1) -> list[ResultRow]:
     """Train every model unit per seed, evaluate every grid cell and write
-    the rows as CSV. Cell seeds derive from (master seed, cell index), so
-    serial and parallel schedules give identical results."""
+    the rows as CSV. Units are trained here, then evaluated one task per
+    unit; cell seeds derive from (master seed, cell index), so serial and
+    parallel schedules give identical results."""
     test_recs = dataset.split("test")
     if not test_recs:
         raise ValueError("dataset has no test split")
 
-    tasks = []
-    cell_index = 0
+    units = []
     for name, denoise in cfg.models:
-        c_primes: tuple[int | None, ...]
-        if name in DSF_MODELS and cfg.c_prime_grid:
-            c_primes = cfg.c_prime_grid
-        else:
-            c_primes = (None,)
-        for c_prime in c_primes:
-            for seed_idx in range(cfg.n_seeds):
-                seed = derive_seed(cfg.master_seed, 100 + seed_idx)
-                model, _ = train_model_unit(cfg, dataset, name, denoise,
-                                            seed, c_prime)
-                for eta in cfg.eta_grid:
-                    for count in cfg.count_grid:
-                        spec = _cell_spec(cfg, eta, count)
-                        cell_seed = derive_seed(cfg.master_seed, cell_index)
-                        cell_index += 1
-                        row_key = (seed, name, denoise, eta, count,
-                                   getattr(model, "c_prime", 0) or 0)
-                        tasks.append((model, test_recs, spec, cell_seed,
-                                      cfg.metric, row_key))
+        c_primes = (cfg.c_prime_grid if name in DSF_MODELS and cfg.c_prime_grid
+                    else (None,))
+        for c_prime, seed_idx in itertools.product(c_primes,
+                                                   range(cfg.n_seeds)):
+            seed = derive_seed(cfg.master_seed, 100 + seed_idx)
+            model, _ = train_model_unit(cfg, dataset, name, denoise, seed,
+                                        c_prime)
+            units.append((name, denoise, seed, model))
 
+    evaluate = partial(_evaluate_unit, cfg, test_recs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_evaluate_task, tasks))
+            per_unit = list(pool.map(evaluate, enumerate(units)))
     else:
-        rows = [_evaluate_task(t) for t in tasks]
-
-    rows.sort(key=lambda r: (r.model, r.denoise, r.seed, r.eta,
-                             r.n_corrupted, r.c_prime))
+        per_unit = map(evaluate, enumerate(units))
+    rows = sorted(itertools.chain.from_iterable(per_unit),
+                  key=lambda r: (r.model, r.denoise, r.seed, r.eta,
+                                 r.n_corrupted, r.c_prime))
     write_results_csv(rows, out_path)
     return rows
 
@@ -475,7 +457,7 @@ def inspect_filters(model: DeepModel, recordings: list[Recording],
                for ch in range(phi.shape[1])}
     if dump_path is not None:
         write_csv_atomic(dump_path, (
-            [i] + [repr(v) for v in row]
+            [i] + [repr(float(v)) for v in row]
             for i, row in enumerate(np.concatenate(
                 [W.reshape(len(W), -1), b, phi], axis=1))))
     return (W, b, phi), summary

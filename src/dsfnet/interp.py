@@ -58,15 +58,11 @@ class InterpModule:
             self.fc2 = Dense("interp.fc2", C * C, out_dim, store, rng)
 
     # The static matrix is used with its diagonal masked out, so the
-    # diagonal entries carry no gradient; clamp_diagonal keeps the stored
-    # values at exactly 0 after optimizer steps.
+    # diagonal entries carry no gradient and AdamW keeps them at their
+    # initial 0 (zero moments, and weight decay of 0 is 0).
     def static_w(self, store: ParamStore) -> NDArray:
         W = store[self.w_name].value
         return W * (1.0 - np.eye(self.C))
-
-    def clamp_diagonal(self, store: ParamStore) -> None:
-        if self.kind in ("interp_only", "scalar", "vector"):
-            np.fill_diagonal(store[self.w_name].value, 0.0)
 
     def _mlp_forward(self, X: NDArray, store: ParamStore) -> NDArray:
         phi = compute_summary(SUMMARY_KIND, X)

@@ -7,17 +7,18 @@ discriminative signal, and amplitudes sit in the tens-of-microvolts range
 so that the 20-50 uV corruption regime is genuinely destructive.
 """
 
+import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .binio import expect_end, read_float64, unpack_exact
+from .binio import expect_end, read_exact, read_float64, unpack_exact
 from .seeding import rng_for
 
 MAGIC = b"DSFD"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # version 1 files (fixed C, T, sfreq header) still load
 
 
 @dataclass(frozen=True)
@@ -158,12 +159,11 @@ def split_dataset(ds: Dataset, fractions: tuple[float, float, float],
 
 def save_dataset(ds: Dataset, path: str) -> None:
     """Binary dataset file; see load_dataset for the layout."""
-    cfg = ds.config
+    config = json.dumps(asdict(ds.config)).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<II", cfg.n_channels, cfg.n_times))
-        f.write(struct.pack("<d", cfg.sfreq))
+        f.write(struct.pack("<II", FORMAT_VERSION, len(config)))
+        f.write(config)
         f.write(struct.pack("<I", len(ds.recordings)))
         for rec in ds.recordings:
             f.write(struct.pack("<Q", rec.id))
@@ -175,20 +175,36 @@ def save_dataset(ds: Dataset, path: str) -> None:
             f.write(np.ascontiguousarray(rec.windows, dtype="<f8").tobytes())
 
 
+def _read_config(f, path: str) -> SynthConfig:
+    (n,) = unpack_exact(f, "<I", path)
+    raw = read_exact(f, n, path)
+    try:
+        fields = json.loads(raw.decode("utf-8"))
+        return SynthConfig(**{k: tuple(v) if isinstance(v, list) else v
+                              for k, v in fields.items()})
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: bad dataset config: {e}") from e
+
+
 def load_dataset(path: str) -> Dataset:
-    """Read a save_dataset file: magic, version, (C, T, sfreq, recording
-    count), then per recording (id, label, split tag, window count) and its
+    """Read a save_dataset file: magic, version, the SynthConfig as a u32
+    length and its UTF-8 JSON (version 1: C, T, sfreq), the recording
+    count, then per recording (id, label, split tag, window count) and its
     little-endian float64 windows. Every length is checked exactly."""
     tags = {0: "", 1: "train", 2: "valid", 3: "test"}
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise ValueError(f"{path}: bad magic, not a dataset file")
         (version,) = unpack_exact(f, "<I", path)
-        if version != FORMAT_VERSION:
+        if version == 1:
+            C, T, sfreq, n_rec = unpack_exact(f, "<IIdI", path)
+            cfg = SynthConfig(n_channels=C, n_times=T, sfreq=sfreq,
+                              n_recordings=n_rec)
+        elif version == FORMAT_VERSION:
+            cfg = _read_config(f, path)
+            (n_rec,) = unpack_exact(f, "<I", path)
+        else:
             raise ValueError(f"{path}: unsupported version {version}")
-        C, T, sfreq, n_rec = unpack_exact(f, "<IIdI", path)
-        cfg = SynthConfig(n_channels=C, n_times=T, sfreq=sfreq,
-                          n_recordings=n_rec)
         recordings = []
         splits: dict[int, str] = {}
         for _ in range(n_rec):
@@ -197,7 +213,8 @@ def load_dataset(path: str) -> Dataset:
             if tag_code not in tags:
                 raise ValueError(f"{path}: unknown split tag {tag_code} at "
                                  f"byte offset {tag_offset}")
-            windows = read_float64(f, (n_win, C, T), path)
+            windows = read_float64(
+                f, (n_win, cfg.n_channels, cfg.n_times), path)
             recordings.append(Recording(id=rec_id, label=label,
                                         windows=windows))
             if tags[tag_code]:

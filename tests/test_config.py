@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from dsfnet.config import (ConfigError, load_experiment_config,
@@ -90,6 +92,20 @@ def test_removed_train_keys_rejected(tmp_path, key):
     with pytest.raises(ConfigError,
                        match=rf"unknown key '{key}' in \[train\]"):
         load_experiment_config(write(tmp_path, f"[train]\n{key} = 1\n"))
+
+
+@pytest.mark.parametrize("section,line", [
+    ("train", "lr0 = 0"),            # TrainConfig check
+    ("data", "n_channels = 2"),      # SynthConfig check
+    ("data", "n_times = abc"),       # value coercion
+    ("sweep", "eta_grid = 2.0"),     # ExperimentConfig check
+])
+def test_bad_value_names_file_and_section(tmp_path, section, line):
+    path = write(tmp_path, f"[{section}]\n{line}\n")
+    where = rf"^{re.escape(path)}: .* in \[{section}\]$"
+    with pytest.raises(ConfigError, match=where) as info:
+        load_experiment_config(path)
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_invalid_model_rejected_by_experiment_config(tmp_path):

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from dsfnet import harness
 from dsfnet.attention import channel_contribution
 from dsfnet.corruption import CorruptionSpec
 from dsfnet.harness import (RANDOM_MASK, RESULT_HEADER, DeepModel,
                             ExperimentConfig, FeatureModel, _cell_spec,
                             accuracy, balanced_accuracy, class_weight_vector,
                             compute_metric, corrupt_test_recordings,
-                            evaluate_cell, inspect_filters, recording_predict,
-                            run_sweep, train_deep_model, train_model_unit)
+                            evaluate_cell, inspect_filters, run_sweep,
+                            train_deep_model, train_model_unit)
 from dsfnet.nn import ShallowNetConfig, TrainConfig
+from dsfnet.seeding import derive_seed
 from dsfnet.synth import SynthConfig, generate_dataset, split_dataset
 
 TINY_NET = ShallowNetConfig(n_temporal_filters=2, temporal_kernel=9,
@@ -111,14 +113,12 @@ def test_deep_model_rejects_feature_names():
         DeepModel("riemann", 3, 128, TINY_NET, seed=0)
 
 
-def test_recording_predict_tie_goes_to_lowest_class():
-    class Stub:
-        def predict_proba(self, X):
-            return np.full((len(X), 2), 0.5)
-
-    assert recording_predict(Stub(), np.zeros((3, 2, 10))) == 0
+def test_predict_recording_tie_goes_to_lowest_class():
+    model = DeepModel("vanilla", 3, 128, TINY_NET, seed=0)
+    model.predict_proba = lambda X: np.full((len(X), 2), 0.5)
+    assert model.predict_recording(np.zeros((3, 3, 128))) == 0
     with pytest.raises(ValueError):
-        recording_predict(Stub(), np.zeros((0, 2, 10)))
+        model.predict_recording(np.zeros((0, 3, 128)))
 
 
 def test_training_is_deterministic_and_patience_zero_stops_after_one_epoch():
@@ -237,6 +237,35 @@ def test_run_sweep_c_prime_grid_expands_dsf_models_only(tmp_path):
     assert sorted(r.c_prime for r in rows if r.model == "dsfd") == [2, 3]
 
 
+def test_run_sweep_cell_seeds_are_unit_major(tmp_path, monkeypatch):
+    # Cell i of unit u is seeded by derive_seed(master, u * n_cells + i).
+    ds = tiny_dataset()
+    units = [("vanilla", "none"), ("handcrafted", "none")]
+    cfg = sweep_config(units, eta_grid=(0.5, 1.0), count_grid=(RANDOM_MASK, 1))
+    cells = [(eta, count) for eta in cfg.eta_grid for count in cfg.count_grid]
+    seeds = []
+
+    def spy(model, recordings, spec, cell_seed, metric):
+        seeds.append(cell_seed)
+        return evaluate_cell(model, recordings, spec, cell_seed, metric)
+
+    monkeypatch.setattr(harness, "evaluate_cell", spy)
+    rows = run_sweep(cfg, ds, str(tmp_path / "r.csv"))
+    n_cells = len(cells)
+    assert seeds == [derive_seed(cfg.master_seed, k)
+                     for k in range(len(units) * n_cells)]
+    expected = {}
+    for u, (name, denoise) in enumerate(units):
+        model, _ = train_model_unit(cfg, ds, name, denoise,
+                                    derive_seed(cfg.master_seed, 100))
+        for i, (eta, count) in enumerate(cells):
+            expected[name, eta, count] = evaluate_cell(
+                model, ds.split("test"), _cell_spec(cfg, eta, count),
+                derive_seed(cfg.master_seed, u * n_cells + i), cfg.metric)
+    assert {(r.model, r.eta, r.n_corrupted): r.value
+            for r in rows} == expected
+
+
 def test_run_sweep_serial_parallel_identical(tmp_path):
     ds = tiny_dataset()
     cfg = sweep_config([("vanilla", "none")], eta_grid=(0.0, 1.0))
@@ -281,7 +310,12 @@ def test_inspect_filters(tmp_path):
     assert set(summary) == {0, 1, 2}
     for q25, med, q75 in summary.values():
         assert q25 <= med <= q75
-    assert len(open(dump).read().splitlines()) == n_windows
+    lines = open(dump).read().splitlines()
+    assert [int(line.split(",")[0]) for line in lines] == list(range(n_windows))
+    values = np.array([[float(v) for v in line.split(",")[1:]]
+                       for line in lines])
+    assert np.array_equal(values, np.concatenate(
+        [W.reshape(n_windows, -1), b, phi], axis=1))
 
 
 def test_inspect_filters_rows_equal_per_recording_filters():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from dsfnet.harness import DeepModel, train_deep_model
 from dsfnet.interp import INTERP_KINDS, InterpModule, dynamic_omega
-from dsfnet.nn import ParamStore
+from dsfnet.nn import ParamStore, ShallowNetConfig, TrainConfig
 from dsfnet.seeding import rng_for
+from dsfnet.synth import SynthConfig, generate_dataset, split_dataset
 
 from conftest import finite_diff_max_rel_error
 
@@ -51,8 +53,19 @@ def test_static_w_diagonal_is_masked(rng):
     store[module.w_name].value[...] = rng.normal(size=(3, 3))
     W = module.static_w(store)
     assert np.all(np.diag(W) == 0.0)
-    module.clamp_diagonal(store)
-    assert np.all(np.diag(store[module.w_name].value) == 0.0)
+    # The masked diagonal gets no gradient, so training leaves it at 0.
+    cfg = SynthConfig(n_channels=3, n_times=128, n_recordings=8,
+                      windows_per_recording=3)
+    ds = split_dataset(generate_dataset(cfg, 0), (0.5, 0.25, 0.25), 0)
+    net = ShallowNetConfig(n_temporal_filters=2, temporal_kernel=9,
+                           n_spatial_filters=2, pool_width=20, pool_stride=10)
+    train = TrainConfig(max_epochs=2, patience=2, t_max=2, batch_size=8)
+    for kind in ("interp_only", "scalar", "vector"):
+        model = DeepModel(kind, 3, 128, net, seed=1)
+        W0 = model.store["interp.W"].value.copy()
+        train_deep_model(model, ds, train, "augmentation", seed=1)
+        W = model.store["interp.W"].value
+        assert np.all(np.diag(W) == 0.0) and not np.array_equal(W, W0)
 
 
 def test_scalar_and_vector_forward_oracle(rng):

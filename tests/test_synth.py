@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -102,13 +105,19 @@ def test_save_load_round_trip(tmp_path):
     path = str(tmp_path / "data.bin")
     save_dataset(ds, path)
     loaded = load_dataset(path)
-    assert loaded.config.n_channels == 3
-    assert loaded.config.n_times == 128
-    assert loaded.config.sfreq == 100.0
+    assert loaded.config == ds.config
     assert loaded.splits == ds.splits
     for ra, rb in zip(ds.recordings, loaded.recordings):
         assert (ra.id, ra.label) == (rb.id, rb.label)
         np.testing.assert_array_equal(ra.windows, rb.windows)
+
+
+def test_save_load_keeps_every_config_field(tmp_path):
+    cfg = SynthConfig(n_channels=3, n_times=128, n_recordings=6, n_classes=3,
+                      windows_per_recording=2, boost_factor=3.0)
+    path = str(tmp_path / "data.bin")
+    save_dataset(generate_dataset(cfg, seed=1), path)
+    assert load_dataset(path).config == cfg
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -126,9 +135,52 @@ def dataset_bytes(tmp_path):
     return open(path, "rb").read()
 
 
+def count_offset(data):
+    """Byte offset of the recording count in a version 2 file: magic,
+    version, config length, config JSON."""
+    (n,) = struct.unpack_from("<I", data, 8)
+    return 12 + n
+
+
+def as_version_1(data, cfg):
+    """The same file in the version 1 layout: (C, T, sfreq) in place of
+    the config JSON."""
+    return (data[:4] + struct.pack("<IIId", 1, cfg.n_channels, cfg.n_times,
+                                   cfg.sfreq) + data[count_offset(data):])
+
+
+def test_load_version_1_file(tmp_path, dataset_bytes):
+    ds = split_dataset(generate_dataset(TINY, seed=3), (0.5, 0.25, 0.25), 3)
+    path = tmp_path / "v1.bin"
+    path.write_bytes(as_version_1(dataset_bytes, TINY))
+    loaded = load_dataset(str(path))
+    # Version 1 keeps only C, T and sfreq; the rest are defaults.
+    assert loaded.config == SynthConfig(n_channels=3, n_times=128,
+                                        n_recordings=8)
+    assert loaded.splits == ds.splits
+    for ra, rb in zip(ds.recordings, loaded.recordings):
+        assert (ra.id, ra.label) == (rb.id, rb.label)
+        np.testing.assert_array_equal(ra.windows, rb.windows)
+
+
+@pytest.mark.parametrize("change", [
+    lambda fields: b"{not json",
+    lambda fields: json.dumps({**fields, "bogus": 1}).encode(),
+    lambda fields: json.dumps({**fields, "n_classes": 4}).encode(),
+], ids=["malformed", "unknown_field", "failed_check"])
+def test_load_rejects_bad_config(tmp_path, dataset_bytes, change):
+    config = change(dataclasses.asdict(TINY))
+    path = tmp_path / "badcfg.bin"
+    path.write_bytes(dataset_bytes[:8] + struct.pack("<I", len(config))
+                     + config + dataset_bytes[count_offset(dataset_bytes):])
+    where = re.escape(str(path))
+    with pytest.raises(ValueError, match=f"{where}: bad dataset config"):
+        load_dataset(str(path))
+
+
 def test_load_rejects_truncated_header(tmp_path, dataset_bytes):
     path = tmp_path / "short.bin"
-    path.write_bytes(dataset_bytes[:12])  # magic, version, half the shape
+    path.write_bytes(dataset_bytes[:10])  # magic, version, half a length
     where = re.escape(str(path))
     with pytest.raises(ValueError, match=f"{where}: truncated at byte offset 8"):
         load_dataset(str(path))
@@ -152,17 +204,28 @@ def test_load_rejects_trailing_bytes(tmp_path, dataset_bytes):
         load_dataset(str(path))
 
 
-def test_load_rejects_unknown_split_tag(tmp_path, dataset_bytes):
-    # Header: magic, version, C, T, sfreq, count (28 bytes); the first
-    # record's tag follows its 8-byte id and 1-byte label.
-    data = bytearray(dataset_bytes)
-    data[37] = 9
+def check_unknown_split_tag(tmp_path, data, tag):
+    data = bytearray(data)
+    data[tag] = 9
     path = tmp_path / "badtag.bin"
     path.write_bytes(bytes(data))
     where = re.escape(str(path))
     with pytest.raises(ValueError,
-                       match=f"{where}: unknown split tag 9 at byte offset 37"):
+                       match=f"{where}: unknown split tag 9 at byte offset "
+                             f"{tag}$"):
         load_dataset(str(path))
+
+
+def test_load_rejects_unknown_split_tag(tmp_path, dataset_bytes):
+    # The first record's tag follows the 4-byte recording count, its
+    # 8-byte id and 1-byte label.
+    check_unknown_split_tag(tmp_path, dataset_bytes,
+                            count_offset(dataset_bytes) + 13)
+
+
+def test_load_rejects_unknown_split_tag_version_1(tmp_path, dataset_bytes):
+    # Version 1 header: magic, version, C, T, sfreq, count (28 bytes).
+    check_unknown_split_tag(tmp_path, as_version_1(dataset_bytes, TINY), 37)
 
 
 def bandpower_features(X, sfreq, bands=((8.0, 12.0), (18.0, 22.0))):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .nn import Dense, ParamStore, Sigmoid
+from .nn import Dense, Layer, ParamStore, Sigmoid
 from .spatial import compute_summary, phi_length
 
 VARIANTS = ("dsfd", "dsfm", "dsfm_st")
@@ -74,7 +74,7 @@ def dsf_param_count(cfg: DsfConfig) -> int:
     return (d + 1) * h + (h + 1) * cfg.n_virtual * (cfg.n_channels + 1)
 
 
-class DsfModule:
+class DsfModule(Layer):
     """Trainable DSF filter generator; batched forward/backward."""
 
     def __init__(self, cfg: DsfConfig, store: ParamStore,

@@ -76,8 +76,7 @@ def cmd_inspect(args) -> int:
     ds = load_dataset(args.dataset)
     name, denoise = sweep_cfg.models[0]
     if name not in DSF_MODELS:
-        print(f"error: {name!r} is not a DSF-family model", file=sys.stderr)
-        return 2
+        raise ValueError(f"{name!r} is not a DSF-family model")
     model, _ = train_model_unit(sweep_cfg, ds, name, denoise, args.seed)
     spec = None
     if args.eta > 0:
@@ -167,7 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as e:
+        # Bad configs (ConfigError), bad or unreadable files (their
+        # messages name the path) and bad arguments.
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ The dynamic variant collapses to a single matrix product via
 import numpy as np
 from numpy.typing import NDArray
 
-from .nn import Dense, ParamStore, Sigmoid
+from .nn import Dense, Layer, ParamStore, Sigmoid
 from .spatial import compute_summary, phi_length
 
 INTERP_KINDS = ("interp_only", "scalar", "vector", "dynamic")
@@ -32,7 +32,7 @@ def dynamic_omega(alpha: NDArray, W_X: NDArray) -> NDArray:
     return np.diag(alpha) + (1.0 - alpha)[:, None] * W_X
 
 
-class InterpModule:
+class InterpModule(Layer):
     """One rung of the ablation ladder; batched forward/backward."""
 
     def __init__(self, kind: str, n_channels: int, store: ParamStore,

@@ -129,7 +129,14 @@ def he_uniform_init(
 
 class Layer:
     """Forward caches activations; backward returns the input gradient and
-    accumulates parameter gradients into the store."""
+    accumulates parameter gradients into the store.
+
+    The caches are the ``_``-prefixed attributes: scratch space between a
+    forward and a backward pass, left out when a layer is pickled.
+    """
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
 
     def forward(self, x, store, train=False, rng=None):
         raise NotImplementedError
@@ -158,10 +165,20 @@ class Dense(Layer):
 
 
 class TemporalConv(Layer):
-    """Valid-padding temporal convolution, filters shared across channels.
+    """Valid-padding temporal convolution, filters shared across channels,
+    with an optional spatial projection folded into the same kernel.
 
-    (B, C, T) -> (B, C * n_filters, T - k + 1); output map index is
-    c * n_filters + f.
+    On its own: (B, C, T) -> (B, C * n_filters, T - k + 1); output map
+    index is c * n_filters + f. With a SpatialConv over those maps set as
+    ``spatial``, it returns that layer's output instead, (B, S, T - k + 1),
+    and its backward writes that layer's parameter gradients too; the
+    SpatialConv's own forward and backward are never called.
+
+    Either way the projection Ws, bs (without a spatial layer, the identity
+    and 0) is folded into one kernel K[s, c, j] = sum_f Ws[c*F + f, s]
+    Wt[f, j] with bias sum_{c,f} Ws[c*F + f, s] bt[f] + bs[s], and every
+    correlation is an rFFT product of length T, at which a valid
+    correlation never wraps.
     """
 
     def __init__(self, name, n_filters, kernel, store, rng):
@@ -171,39 +188,48 @@ class TemporalConv(Layer):
         self.b_name = f"{name}.b"
         store.add(self.w_name, he_uniform_init((n_filters, kernel), kernel, rng))
         store.add(self.b_name, np.zeros(n_filters))
+        self.spatial: SpatialConv | None = None
+
+    def _projection(self, C, store):
+        """Ws as (C, F, S) and bs (S,)."""
+        if self.spatial is None:
+            M = C * self.n_filters
+            Ws, bs = np.eye(M), np.zeros(M)
+        else:
+            Ws = store[self.spatial.w_name].value
+            bs = store[self.spatial.b_name].value
+        return Ws.reshape(C, self.n_filters, -1), bs
 
     def forward(self, x, store, train=False, rng=None):
-        B, C, T = x.shape
+        _, C, T = x.shape
         k = self.kernel
         if T < k:
             raise ValueError(f"window of {T} samples shorter than kernel {k}")
-        Tp = T - k + 1
-        windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=2)
-        # Contiguous copy so both the forward product and the weight
-        # gradient run as plain BLAS matmuls.
-        self._win2d = np.ascontiguousarray(windows).reshape(-1, k)
-        self._in_shape = x.shape
-        W = store[self.w_name].value
-        b = store[self.b_name].value
-        out = (self._win2d @ W.T + b).reshape(B, C, Tp, self.n_filters)
-        return np.ascontiguousarray(
-            out.transpose(0, 1, 3, 2)).reshape(B, C * self.n_filters, Tp)
+        Ws, bs = self._projection(C, store)
+        K = np.einsum("cfs,fj->scj", Ws, store[self.w_name].value)
+        bias = np.einsum("cfs,f->s", Ws, store[self.b_name].value) + bs
+        self._xf = np.fft.rfft(x)
+        self._kf = np.fft.rfft(K, n=T)
+        yf = np.einsum("bcw,scw->bsw", self._xf, self._kf.conj())
+        return np.fft.irfft(yf, n=T)[..., :T - k + 1] + bias[:, None]
 
     def backward(self, dout, store):
-        B, C, T = self._in_shape
-        F, k = self.n_filters, self.kernel
-        Tp = T - k + 1
-        dout2d = np.ascontiguousarray(
-            dout.reshape(B, C, F, Tp).transpose(0, 1, 3, 2)).reshape(-1, F)
-        store[self.w_name].grad += dout2d.T @ self._win2d
-        store[self.b_name].grad += dout2d.sum(axis=0)
-        # Input gradient: scatter-add each kernel tap's contribution.
-        W = store[self.w_name].value
-        G = (dout2d @ W).reshape(B, C, Tp, k)
-        dx = np.zeros((B, C, T))
-        for j in range(k):
-            dx[:, :, j : j + Tp] += G[..., j]
-        return dx
+        xf, kf, k = self._xf, self._kf, self.kernel
+        C, T = xf.shape[1], dout.shape[-1] + k - 1
+        df = np.fft.rfft(dout, n=T)
+        dK = np.fft.irfft(np.einsum("bcw,bsw->scw", xf, df.conj()),
+                          n=T)[..., :k]
+        dbias = dout.sum(axis=(0, 2))
+        Ws, _ = self._projection(C, store)
+        store[self.w_name].grad += np.einsum("cfs,scj->fj", Ws, dK)
+        store[self.b_name].grad += np.einsum("cfs,s->f", Ws, dbias)
+        if self.spatial is not None:
+            Wt, bt = store[self.w_name].value, store[self.b_name].value
+            dWs = np.einsum("fj,scj->cfs", Wt, dK) + np.outer(bt, dbias)
+            p = store[self.spatial.w_name]
+            p.grad += dWs.reshape(p.grad.shape)
+            store[self.spatial.b_name].grad += dbias
+        return np.fft.irfft(np.einsum("bsw,scw->bcw", df, kf), n=T)
 
 
 class SpatialConv(Layer):
@@ -252,7 +278,8 @@ class LogFloor(Layer):
 
 
 class AvgPool(Layer):
-    """Temporal average pooling with window w and stride s on the last axis."""
+    """Temporal average pooling with window w and stride s on the last axis,
+    as one product with a (T, n_pool) matrix holding 1/w on each window."""
 
     def __init__(self, width, stride):
         self.width = width
@@ -263,20 +290,12 @@ class AvgPool(Layer):
         if T < self.width:
             raise ValueError(f"cannot pool {T} samples with window {self.width}")
         n_pool = (T - self.width) // self.stride + 1
-        self._in_shape = x.shape
-        self._n_pool = n_pool
-        windows = np.lib.stride_tricks.sliding_window_view(x, self.width, axis=-1)
-        return windows[..., :: self.stride, :].mean(axis=-1)
+        offset = np.arange(T)[:, None] - self.stride * np.arange(n_pool)
+        self._P = ((offset >= 0) & (offset < self.width)) / self.width
+        return x @ self._P
 
     def backward(self, dout, store):
-        dx = np.zeros(self._in_shape)
-        scale = 1.0 / self.width
-        for p in range(self._n_pool):
-            start = p * self.stride
-            dx[..., start : start + self.width] += (
-                dout[..., p : p + 1] * scale
-            )
-        return dx
+        return dout @ self._P.T
 
 
 class Dropout(Layer):
@@ -428,12 +447,15 @@ class ShallowNet:
                 f"fewer than the pool width {cfg.pool_width}"
             )
         n_pool = (t_conv - cfg.pool_width) // cfg.pool_stride + 1
+        # The spatial convolution owns its parameters but runs inside the
+        # temporal one, folded into a single kernel.
+        tconv = TemporalConv("net.tconv", cfg.n_temporal_filters,
+                             cfg.temporal_kernel, store, rng)
+        tconv.spatial = SpatialConv("net.sconv",
+                                    n_channels * cfg.n_temporal_filters,
+                                    cfg.n_spatial_filters, store, rng)
         self.layers = [
-            TemporalConv("net.tconv", cfg.n_temporal_filters,
-                         cfg.temporal_kernel, store, rng),
-            SpatialConv("net.sconv",
-                        n_channels * cfg.n_temporal_filters,
-                        cfg.n_spatial_filters, store, rng),
+            tconv,
             Square(),
             AvgPool(cfg.pool_width, cfg.pool_stride),
             LogFloor(),

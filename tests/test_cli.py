@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dsfnet
 from dsfnet.cli import main, taylor_error_curve
 from dsfnet.nn import ParamStore
 from dsfnet.synth import load_dataset
@@ -105,6 +110,48 @@ def test_inspect_rejects_non_dsf_model(tmp_path, cfg_path, dataset_path):
     assert main(["inspect", "--config", cfg_path(), "--seed", "1",
                  "--dataset", dataset_path,
                  "--out", str(tmp_path / "f.csv")]) == 2
+
+
+@pytest.mark.parametrize("section,line", [
+    ("train", "lr0 = 0"),
+    ("data", "n_channels = 2"),
+    ("data", "n_times = abc"),
+    ("sweep", "eta_grid = 2.0"),
+])
+def test_bad_config_fails_in_one_line(tmp_path, section, line, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[{section}]\n{line}\n")
+    assert main(["gen", "--config", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "data.bin")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {path}: ")
+    assert err[0].endswith(f" in [{section}]")
+
+
+def test_missing_config_fails_in_one_line(tmp_path, capsys):
+    path = tmp_path / "missing.cfg"
+    assert main(["gen", "--config", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "data.bin")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and str(path) in err[0]
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "inspect"])
+def test_truncated_dataset_fails_in_one_line(tmp_path, cfg_path, dataset_path,
+                                             command):
+    short = tmp_path / "short.bin"
+    short.write_bytes(Path(dataset_path).read_bytes()[:-5])
+    env = dict(os.environ, PYTHONPATH=str(Path(dsfnet.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "dsfnet.cli", command, "--config", cfg_path(),
+         "--dataset", str(short), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    err = done.stderr.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {short}: truncated at byte offset")
 
 
 @pytest.mark.parametrize("command", ["gen", "train", "inspect",

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,18 @@ def test_predict_recording_tie_goes_to_lowest_class():
     assert model.predict_recording(np.zeros((3, 3, 128))) == 0
     with pytest.raises(ValueError):
         model.predict_recording(np.zeros((0, 3, 128)))
+
+
+@pytest.mark.parametrize("name", ["vanilla", "dsfm_st", "dynamic"])
+def test_pickled_model_carries_no_forward_caches(name):
+    ds = tiny_dataset()
+    model = DeepModel(name, 3, 128, TINY_NET, seed=0)
+    train_deep_model(model, ds, TINY_TRAIN, "none", seed=0)
+    X, _ = ds.windows_and_labels("test")
+    probs = model.predict_proba(X)  # leaves this batch's caches behind
+    blob = pickle.dumps(model)
+    assert len(blob) <= len(pickle.dumps(model.store)) + 64 * 1024
+    np.testing.assert_array_equal(pickle.loads(blob).predict_proba(X), probs)
 
 
 def test_training_is_deterministic_and_patience_zero_stops_after_one_epoch():

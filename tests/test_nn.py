@@ -1,3 +1,4 @@
+import copy
 import re
 import struct
 
@@ -10,6 +11,9 @@ from dsfnet.nn import (LOG_FLOOR, AvgPool, Dense, Dropout, Flatten, LogFloor,
                        SpatialConv, Square, TemporalConv, TrainConfig,
                        adamw_step, cosine_lr, he_uniform_init, softmax,
                        softmax_xent)
+
+from dsfnet.harness import DeepModel
+from dsfnet.seeding import rng_for
 
 from conftest import finite_diff_input_max_rel_error, finite_diff_max_rel_error
 
@@ -295,6 +299,85 @@ def test_shallow_net_gradients_finite_difference():
         return loss
 
     assert finite_diff_max_rel_error(store, loss_fn) < 1e-4
+
+
+def fused_conv(store, rng, C, F=3, k=5, S=5):
+    """A TemporalConv with a SpatialConv from C * F to S maps folded in,
+    and random biases so the bias fold is exercised."""
+    layer = TemporalConv("tc", F, k, store, rng)
+    layer.spatial = SpatialConv("sc", C * F, S, store, rng)
+    store["tc.b"].value[...] = rng.normal(size=F)
+    store["sc.b"].value[...] = rng.normal(size=S)
+    return layer
+
+
+def test_fused_temporal_conv_equals_temporal_then_spatial(rng):
+    B, C, T = 3, 4, 21
+    store = ParamStore()
+    fused = fused_conv(store, rng, C)
+    temporal = copy.copy(fused)  # same parameters, no spatial layer
+    temporal.spatial = None
+    spatial = fused.spatial
+    x = rng.normal(size=(B, C, T))
+
+    def run(forward, backward):
+        store.zero_grads()
+        y = forward(x)
+        dout = np.random.default_rng(1).normal(size=y.shape)
+        dx = backward(dout)
+        return y, dx, {n: store[n].grad.copy() for n in store.names()}
+
+    want = run(lambda v: spatial.forward(temporal.forward(v, store), store),
+               lambda d: temporal.backward(spatial.backward(d, store), store))
+    got = run(lambda v: fused.forward(v, store),
+              lambda d: fused.backward(d, store))
+    assert got[0].shape == (B, 5, T - 5 + 1)  # S maps, kernel 5
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
+    np.testing.assert_allclose(got[1], want[1], rtol=1e-12)
+    assert sorted(got[2]) == ["sc.W", "sc.b", "tc.W", "tc.b"]
+    for name in got[2]:
+        np.testing.assert_allclose(got[2][name], want[2][name], rtol=1e-12,
+                                   err_msg=name)
+
+
+def test_fused_temporal_conv_gradients_finite_difference(rng):
+    store = ParamStore()
+    layer = fused_conv(store, rng, C=3)
+    x = rng.normal(size=(2, 3, 12))
+    cost = rng.normal(size=layer.forward(x, store).shape)
+    err = finite_diff_max_rel_error(store, quad_loss(layer, store, x, cost))
+    assert err < 1e-4, f"params: {err}"
+    store.zero_grads()
+    layer.forward(x, store)
+    dx = layer.backward(cost, store)
+    err = finite_diff_input_max_rel_error(
+        x, lambda xv: float((cost * layer.forward(xv, store)).sum()), dx)
+    assert err < 1e-4, f"input: {err}"
+
+
+def test_fresh_vanilla_model_keeps_parameter_names_shapes_and_draws(tmp_path):
+    """The spatial convolution runs inside the temporal one, but the model
+    still owns the four convolution parameters, created in the same order
+    from the same generator."""
+    C, T, seed = 5, 300, 11
+    cfg = ShallowNetConfig()
+    model = DeepModel("vanilla", C, T, cfg, seed)
+    F, k, S = cfg.n_temporal_filters, cfg.temporal_kernel, cfg.n_spatial_filters
+    n_pool = (T - k + 1 - cfg.pool_width) // cfg.pool_stride + 1
+    rng = rng_for(seed, 0xD5F)
+    want = ParamStore()
+    want.add("net.tconv.W", he_uniform_init((F, k), k, rng))
+    want.add("net.tconv.b", np.zeros(F))
+    want.add("net.sconv.W", he_uniform_init((C * F, S), C * F, rng))
+    want.add("net.sconv.b", np.zeros(S))
+    want.add("net.out.W", he_uniform_init((S * n_pool, cfg.n_classes),
+                                          S * n_pool, rng))
+    want.add("net.out.b", np.zeros(cfg.n_classes))
+    assert model.store.names() == want.names()
+    model.store.save(str(tmp_path / "got.bin"))
+    want.save(str(tmp_path / "want.bin"))
+    assert ((tmp_path / "got.bin").read_bytes()
+            == (tmp_path / "want.bin").read_bytes())
 
 
 def test_shallow_net_rejects_too_short_input(rng):

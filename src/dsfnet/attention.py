@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .nn import Dense, Layer, ParamStore, Sigmoid
+from .nn import Dense, Layer, ParamStore, Sequential, Sigmoid
 from .spatial import compute_summary, phi_length
 
 VARIANTS = ("dsfd", "dsfm", "dsfm_st")
@@ -81,10 +81,11 @@ class DsfModule(Layer):
                  rng: np.random.Generator):
         self.cfg = cfg
         out_dim = cfg.n_virtual * (cfg.n_channels + 1)
-        self.fc1 = Dense("dsf.fc1", cfg.summary_length, cfg.hidden_size,
-                         store, rng)
-        self.act = Sigmoid()
-        self.fc2 = Dense("dsf.fc2", cfg.hidden_size, out_dim, store, rng)
+        self.mlp = Sequential([
+            Dense("dsf.fc1", cfg.summary_length, cfg.hidden_size, store, rng),
+            Sigmoid(),
+            Dense("dsf.fc2", cfg.hidden_size, out_dim, store, rng),
+        ])
 
     def summaries(self, X: NDArray) -> NDArray:
         """Spatial summaries of a (B, C, T) batch; no gradient flows here."""
@@ -95,8 +96,7 @@ class DsfModule(Layer):
         """MLP output reshaped into W (B, C', C) and b (B, C'), thresholded
         when the variant asks for it."""
         cfg = self.cfg
-        h = self.act.forward(self.fc1.forward(phi, store), store)
-        raw = self.fc2.forward(h, store)
+        raw = self.mlp.forward(phi, store)
         B = raw.shape[0]
         split = cfg.n_virtual * cfg.n_channels
         W_pre = raw[:, :split].reshape(B, cfg.n_virtual, cfg.n_channels)
@@ -128,6 +128,5 @@ class DsfModule(Layer):
             dW = dW * soft_threshold_subgradient(self._W_pre, cfg.tau)
         B = dY.shape[0]
         draw = np.concatenate([dW.reshape(B, -1), db], axis=1)
-        dh = self.fc2.backward(draw, store)
-        self.fc1.backward(self.act.backward(dh, store), store)
+        self.mlp.backward(draw, store)
         return np.einsum("bvc,bvt->bct", self._W, dY, optimize=True)

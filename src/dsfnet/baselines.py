@@ -192,8 +192,7 @@ def aggregate_recording(items, method: str) -> NDArray:
 
     logm_mean: log-Euclidean geometric mean of SPD matrices (exp of the
     mean of matrix logs); items may be (n_windows, ..., C, C), e.g. one
-    matrix per band. median: elementwise. prob_mean: mean of probability
-    rows.
+    matrix per band. median: elementwise.
     """
     if len(items) == 0:
         raise ValueError("nothing to aggregate")
@@ -202,6 +201,4 @@ def aggregate_recording(items, method: str) -> NDArray:
         return matrix_exp_eig(matrix_log_eig(stack).mean(axis=0))
     if method == "median":
         return np.median(stack, axis=0)
-    if method == "prob_mean":
-        return stack.mean(axis=0)
     raise ValueError(f"unknown aggregation method: {method!r}")

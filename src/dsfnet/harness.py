@@ -81,6 +81,14 @@ class ExperimentConfig:
                 raise ValueError(f"unknown denoise strategy: {denoise!r}")
         if any(not 0.0 <= e <= 1.0 for e in self.eta_grid):
             raise ValueError("eta grid must lie inside [0, 1]")
+        if any(n < RANDOM_MASK for n in self.count_grid):
+            raise ValueError(f"count grid entries must be >= {RANDOM_MASK}")
+        if any(c < 1 for c in self.c_prime_grid):
+            raise ValueError("c_prime grid entries must be >= 1")
+        if self.n_seeds < 1:
+            raise ValueError("n_seeds must be >= 1")
+        if not 0.0 <= self.mask_p <= 1.0:
+            raise ValueError("mask_p must lie inside [0, 1]")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric: {self.metric!r}")
 
@@ -203,6 +211,13 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
     valid_losses: list[float] = []
     step = 0
 
+    def loss_of(logits, labels, phase, batch):
+        try:
+            return softmax_xent(logits, labels, weights)
+        except ValueError as e:
+            raise ValueError(f"{model.name} (seed {seed}) epoch {epoch}, "
+                             f"{phase} batch {batch}: {e}") from e
+
     for epoch in range(cfg.max_epochs):
         order = rng_for(seed, 1, epoch).permutation(n)
         drop_rng = rng_for(seed, 2, epoch)
@@ -217,7 +232,8 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
                                       index_offset=start)
             model.store.zero_grads()
             logits = model.forward(batch, train=True, rng=drop_rng)
-            loss, dlogits = softmax_xent(logits, y_train[idx], weights)
+            loss, dlogits = loss_of(logits, y_train[idx], "training",
+                                    start // cfg.batch_size)
             model.backward(dlogits)
             step += 1
             adamw_step(model.store, lr, cfg, step)
@@ -228,7 +244,8 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
         for start in range(0, len(X_valid), cfg.batch_size):
             sl = slice(start, start + cfg.batch_size)
             logits = model.forward(X_valid[sl])
-            loss, _ = softmax_xent(logits, y_valid[sl], weights)
+            loss, _ = loss_of(logits, y_valid[sl], "validation",
+                              start // cfg.batch_size)
             valid_loss += loss * len(X_valid[sl])
         valid_loss /= len(X_valid)
         valid_losses.append(valid_loss)
@@ -380,6 +397,10 @@ def run_sweep(cfg: ExperimentConfig, dataset: Dataset, out_path: str,
     test_recs = dataset.split("test")
     if not test_recs:
         raise ValueError("dataset has no test split")
+    n_channels = dataset.config.n_channels
+    if max(cfg.count_grid) > n_channels:
+        raise ValueError(f"count grid entry {max(cfg.count_grid)} exceeds "
+                         f"the dataset's {n_channels} channels")
 
     units = []
     for name, denoise in cfg.models:

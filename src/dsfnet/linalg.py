@@ -163,16 +163,3 @@ def vec_upper(S: NDArray) -> NDArray:
     S = np.asarray(S, dtype=np.float64)
     iu = np.triu_indices(S.shape[-1])
     return S[..., iu[0], iu[1]]
-
-
-def unvec_upper(v: NDArray) -> NDArray:
-    """Inverse of vec_upper for one vector: rebuild the symmetric matrix."""
-    v = np.asarray(v, dtype=np.float64)
-    m = len(v)
-    C = int(round((np.sqrt(8 * m + 1) - 1) / 2))
-    if C * (C + 1) // 2 != m:
-        raise ValueError(f"length {m} is not a triangular number")
-    S = np.zeros((C, C))
-    iu = np.triu_indices(C)
-    S[iu] = v
-    return S + np.triu(S, k=1).T

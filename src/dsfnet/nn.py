@@ -340,6 +340,23 @@ class Flatten(Layer):
         return dout.reshape(self._in_shape)
 
 
+class Sequential(Layer):
+    """Layers applied in order; backward runs them in reverse."""
+
+    def __init__(self, layers):
+        self.layers = list(layers)
+
+    def forward(self, x, store, train=False, rng=None):
+        for layer in self.layers:
+            x = layer.forward(x, store, train=train, rng=rng)
+        return x
+
+    def backward(self, dout, store):
+        for layer in reversed(self.layers):
+            dout = layer.backward(dout, store)
+        return dout
+
+
 # ---------------------------------------------------------------------------
 # Loss
 
@@ -434,7 +451,7 @@ class ShallowNetConfig:
     n_classes: int = 2
 
 
-class ShallowNet:
+class ShallowNet(Sequential):
     """Temporal conv -> spatial conv -> square -> avg pool -> log -> dropout
     -> dense classifier, on (batch, channels, time) input."""
 
@@ -454,7 +471,7 @@ class ShallowNet:
         tconv.spatial = SpatialConv("net.sconv",
                                     n_channels * cfg.n_temporal_filters,
                                     cfg.n_spatial_filters, store, rng)
-        self.layers = [
+        super().__init__([
             tconv,
             Square(),
             AvgPool(cfg.pool_width, cfg.pool_stride),
@@ -463,14 +480,4 @@ class ShallowNet:
             Flatten(),
             Dense("net.out", cfg.n_spatial_filters * n_pool,
                   cfg.n_classes, store, rng),
-        ]
-
-    def forward(self, x, store, train=False, rng=None):
-        for layer in self.layers:
-            x = layer.forward(x, store, train=train, rng=rng)
-        return x
-
-    def backward(self, dout, store):
-        for layer in reversed(self.layers):
-            dout = layer.backward(dout, store)
-        return dout
+        ])

@@ -168,12 +168,10 @@ def test_logistic_regression_is_deterministic(rng):
                                   b.store["logreg.W"].value)
 
 
-def test_aggregate_median_and_prob_mean(rng):
+def test_aggregate_median(rng):
     items = [rng.normal(size=4) for _ in range(5)]
     np.testing.assert_array_equal(aggregate_recording(items, "median"),
                                   np.median(np.stack(items), axis=0))
-    np.testing.assert_allclose(aggregate_recording(items, "prob_mean"),
-                               np.stack(items).mean(axis=0), rtol=1e-12)
     with pytest.raises(ValueError):
         aggregate_recording(items, "nope")
     with pytest.raises(ValueError):

@@ -99,6 +99,10 @@ def test_removed_train_keys_rejected(tmp_path, key):
     ("data", "n_channels = 2"),      # SynthConfig check
     ("data", "n_times = abc"),       # value coercion
     ("sweep", "eta_grid = 2.0"),     # ExperimentConfig check
+    ("sweep", "count_grid = -2"),
+    ("sweep", "c_prime_grid = 0"),
+    ("sweep", "n_seeds = 0"),
+    ("sweep", "mask_p = 1.5"),
 ])
 def test_bad_value_names_file_and_section(tmp_path, section, line):
     path = write(tmp_path, f"[{section}]\n{line}\n")

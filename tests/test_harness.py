@@ -123,7 +123,8 @@ def test_predict_recording_tie_goes_to_lowest_class():
         model.predict_recording(np.zeros((0, 3, 128)))
 
 
-@pytest.mark.parametrize("name", ["vanilla", "dsfm_st", "dynamic"])
+@pytest.mark.parametrize("name", ["vanilla", "dsfm_st", "interp_only",
+                                  "scalar", "vector", "dynamic"])
 def test_pickled_model_carries_no_forward_caches(name):
     ds = tiny_dataset()
     model = DeepModel(name, 3, 128, TINY_NET, seed=0)
@@ -288,6 +289,25 @@ def test_run_sweep_serial_parallel_identical(tmp_path):
     run_sweep(cfg, ds, p1, jobs=1)
     run_sweep(cfg, ds, p2, jobs=2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_run_sweep_rejects_count_above_channels_before_training(
+        tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a unit")
+    monkeypatch.setattr(harness, "train_model_unit", no_training)
+    cfg = sweep_config([("vanilla", "none")], count_grid=(RANDOM_MASK, 4))
+    with pytest.raises(ValueError, match="count grid entry 4 exceeds"):
+        run_sweep(cfg, tiny_dataset(), str(tmp_path / "r.csv"))
+
+
+def test_non_finite_loss_names_model_seed_epoch_and_batch():
+    model = DeepModel("vanilla", 3, 128, TINY_NET, seed=0)
+    model.store["net.out.b"].value[...] = np.nan
+    with pytest.raises(ValueError, match=r"^vanilla \(seed 3\) epoch 0, "
+                       r"training batch 0: logits contain non-finite") as e:
+        train_deep_model(model, tiny_dataset(), TINY_TRAIN, "none", seed=3)
+    assert "non-finite" in str(e.value.__cause__)
 
 
 def test_run_sweep_requires_test_split(tmp_path):

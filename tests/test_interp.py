@@ -38,6 +38,20 @@ def test_dynamic_omega_rejects_nonzero_diagonal():
         dynamic_omega(np.array([0.5, 0.5]), np.eye(2))
 
 
+@pytest.mark.parametrize("alpha_width", [1, 4])
+def test_stacked_dynamic_omega_equals_per_matrix_calls(alpha_width, rng):
+    alpha = rng.random((2, 3, alpha_width))
+    W = rng.normal(size=(2, 3, 4, 4)) * (1.0 - np.eye(4))
+    omega = dynamic_omega(alpha, W)
+    assert omega.shape == (2, 3, 4, 4)
+    for i in np.ndindex(2, 3):
+        a = np.broadcast_to(alpha[i], (4,))  # a width-1 alpha is shared
+        np.testing.assert_array_equal(omega[i], dynamic_omega(a, W[i]))
+    W[1, 2, 3, 3] = 1e-300
+    with pytest.raises(ValueError, match="zero diagonal"):
+        dynamic_omega(alpha, W)
+
+
 def test_static_init_averages_other_channels(rng):
     store, module = make_module("interp_only", C=4)
     X = rng.normal(size=(2, 4, 30))
@@ -83,12 +97,14 @@ def test_scalar_and_vector_forward_oracle(rng):
             np.testing.assert_allclose(Y[b], ref, rtol=1e-12, atol=1e-12)
 
 
-def test_dynamic_forward_matches_omega_product(rng):
-    store, module = make_module("dynamic", C=3, seed=4)
+@pytest.mark.parametrize("kind", INTERP_KINDS)
+def test_forward_matches_omega_product(kind, rng):
+    store, module = make_module(kind, C=3, seed=4)
     X = rng.normal(size=(2, 3, 80))
     Y = module.forward(X, store)
+    W_X = np.broadcast_to(module._W_X, (2, 3, 3))
     for b in range(2):
-        omega = dynamic_omega(module._alpha[b], module._W_X[b])
+        omega = dynamic_omega(module._alpha[b], W_X[b])
         np.testing.assert_allclose(Y[b], omega @ X[b], rtol=1e-12, atol=1e-12)
 
 

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from dsfnet.linalg import (DegenerateInputError, NotPSDError, matrix_exp_eig,
                            matrix_log_eig, matrix_log_taylor, oas_shrink,
-                           sample_covariance, sym_eig, unvec_upper, vec_upper)
+                           sample_covariance, sym_eig, vec_upper)
 
 from conftest import random_spd
 
@@ -146,18 +146,6 @@ def test_vec_upper_ordering():
                   [2.0, 4.0, 5.0],
                   [3.0, 5.0, 6.0]])
     np.testing.assert_array_equal(vec_upper(S), [1, 2, 3, 4, 5, 6])
-
-
-def test_vec_unvec_round_trip(rng):
-    S = random_spd(6, rng)
-    v = vec_upper(S)
-    assert v.shape == (21,)
-    np.testing.assert_allclose(unvec_upper(v), S, rtol=0, atol=1e-15)
-
-
-def test_unvec_rejects_non_triangular_length():
-    with pytest.raises(ValueError):
-        unvec_upper(np.zeros(5))
 
 
 def test_checks_and_floor_apply_per_matrix_of_a_stack(rng):

@@ -9,8 +9,8 @@ aggregation helpers.
 import numpy as np
 from numpy.typing import NDArray
 
-from .linalg import (check_finite, matrix_exp_eig, matrix_log_eig,
-                     oas_shrink, sample_covariance, vec_upper)
+from .linalg import (check_finite, matrix_log_eig, oas_shrink,
+                     sample_covariance, vec_upper)
 from .nn import (Dense, ParamStore, TrainConfig, adamw_step, cosine_lr,
                  softmax, softmax_xent)
 
@@ -186,19 +186,9 @@ class LogisticRegression:
         return np.argmax(self.predict_proba(features), axis=1)
 
 
-def aggregate_recording(items, method: str) -> NDArray:
-    """Collapse window-level items, stacked along the first axis, into one
-    recording-level item.
-
-    logm_mean: log-Euclidean geometric mean of SPD matrices (exp of the
-    mean of matrix logs); items may be (n_windows, ..., C, C), e.g. one
-    matrix per band. median: elementwise.
-    """
+def aggregate_recording(items) -> NDArray:
+    """Elementwise median of window-level items, stacked along the first
+    axis: one recording-level item."""
     if len(items) == 0:
         raise ValueError("nothing to aggregate")
-    stack = np.asarray(items, dtype=np.float64)
-    if method == "logm_mean":
-        return matrix_exp_eig(matrix_log_eig(stack).mean(axis=0))
-    if method == "median":
-        return np.median(stack, axis=0)
-    raise ValueError(f"unknown aggregation method: {method!r}")
+    return np.median(np.asarray(items, dtype=np.float64), axis=0)

@@ -13,14 +13,13 @@ import sys
 import numpy as np
 
 from .config import load_experiment_config
-from .harness import (DSF_MODELS, ExperimentConfig, FeatureModel,
-                      inspect_filters, run_sweep, train_model_unit,
-                      write_csv_atomic)
-from .corruption import CorruptionSpec
+from .harness import (DSF_MODELS, RANDOM_MASK, ExperimentConfig,
+                      FeatureModel, _cell_spec, inspect_filters, run_sweep,
+                      train_model_unit, write_csv_atomic)
 from .linalg import matrix_log_eig, matrix_log_taylor, oas_shrink, \
     sample_covariance
-from .synth import generate_dataset, load_dataset, save_dataset, \
-    split_dataset
+from .synth import SynthConfig, generate_dataset, load_dataset, \
+    save_dataset, split_dataset
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -31,9 +30,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _load_configs(args):
     if args.config:
-        return load_experiment_config(args.config)
-    from .synth import SynthConfig
-    return SynthConfig(), ExperimentConfig(models=[("vanilla", "none")])
+        data_cfg, sweep_cfg = load_experiment_config(args.config)
+    else:
+        data_cfg = SynthConfig()
+        sweep_cfg = ExperimentConfig(models=[("vanilla", "none")])
+    sweep_cfg.master_seed = args.seed
+    return data_cfg, sweep_cfg
 
 
 def cmd_gen(args) -> int:
@@ -47,7 +49,6 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     _, sweep_cfg = _load_configs(args)
-    sweep_cfg.master_seed = args.seed
     ds = load_dataset(args.dataset)
     name, denoise = sweep_cfg.models[0]
     model, log = train_model_unit(sweep_cfg, ds, name, denoise, args.seed)
@@ -63,7 +64,6 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     _, sweep_cfg = _load_configs(args)
-    sweep_cfg.master_seed = args.seed
     ds = load_dataset(args.dataset)
     rows = run_sweep(sweep_cfg, ds, args.out, jobs=args.jobs)
     print(f"wrote {len(rows)} result rows to {args.out}")
@@ -72,7 +72,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_inspect(args) -> int:
     _, sweep_cfg = _load_configs(args)
-    sweep_cfg.master_seed = args.seed
     ds = load_dataset(args.dataset)
     name, denoise = sweep_cfg.models[0]
     if name not in DSF_MODELS:
@@ -80,10 +79,9 @@ def cmd_inspect(args) -> int:
     model, _ = train_model_unit(sweep_cfg, ds, name, denoise, args.seed)
     spec = None
     if args.eta > 0:
-        spec = CorruptionSpec(p=sweep_cfg.mask_p,
-                              eta_range=(args.eta, args.eta),
-                              scope="per_recording",
-                              forced_count=args.n_corrupted)
+        spec = _cell_spec(sweep_cfg, args.eta,
+                          RANDOM_MASK if args.n_corrupted is None
+                          else args.n_corrupted)
     _, summary = inspect_filters(model, ds.split("test"), spec, args.seed,
                                  dump_path=args.out)
     for ch, (q25, med, q75) in summary.items():

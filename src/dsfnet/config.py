@@ -44,61 +44,55 @@ def parse_config_text(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _coerce(value: str, target):
-    if target is bool:
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"not a boolean: {value!r}")
-    return target(value)
+def _items(value: str) -> list[str]:
+    return [v.strip() for v in value.split(",") if v.strip()]
 
 
-def _float_tuple(value: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in value.split(",") if v.strip())
-
-
-def _int_tuple(value: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in value.split(",") if v.strip())
-
-
-def _apply_section(obj, section: dict[str, str], special: dict | None = None):
-    special = special or {}
-    valid = {f.name: f.type for f in fields(obj)}
-    updates = {}
-    for key, value in section.items():
-        if key in special:
-            updates[key] = special[key](value)
-        elif key in valid:
-            current = getattr(obj, key)
-            if isinstance(current, bool):
-                updates[key] = _coerce(value, bool)
-            elif isinstance(current, int):
-                updates[key] = int(value)
-            elif isinstance(current, float):
-                updates[key] = float(value)
-            elif isinstance(current, tuple):
-                updates[key] = (_int_tuple(value)
-                                if all(isinstance(v, int) for v in current)
-                                else _float_tuple(value))
-            else:
-                updates[key] = value
-        else:
-            raise ConfigError(f"unknown key {key!r}")
-    return replace(obj, **updates)
+def _pair(value: str) -> tuple[float, float]:
+    pair = tuple(float(v) for v in _items(value))
+    if len(pair) != 2:
+        raise ConfigError(f"expected two comma-separated values, got "
+                          f"{value!r}")
+    return pair
 
 
 def _parse_models(value: str) -> list[tuple[str, str]]:
     out = []
-    for item in value.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in _items(value):
         name, _, denoise = item.partition(":")
         out.append((name.strip(), denoise.strip() or "none"))
     if not out:
         raise ConfigError("models list is empty")
     return out
+
+
+# Declared field type -> parser of its config value. A section's keys are
+# the fields of its dataclass with a type in this table, so the nested
+# train and net configs are not keys.
+PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    tuple[int, ...]: lambda value: tuple(int(v) for v in _items(value)),
+    tuple[float, ...]: lambda value: tuple(float(v) for v in _items(value)),
+    tuple[float, float]: _pair,
+    list[tuple[str, str]]: _parse_models,
+}
+NOT_KEYS = ("master_seed",)  # set from --seed only
+
+
+def _apply_section(obj, section: dict[str, str]):
+    parsers = {f.name: PARSERS[f.type] for f in fields(obj)
+               if f.type in PARSERS and f.name not in NOT_KEYS}
+    updates = {}
+    for key, value in section.items():
+        if key not in parsers:
+            raise ConfigError(f"unknown key {key!r}")
+        try:
+            updates[key] = parsers[key](value)
+        except ValueError as e:
+            raise ConfigError(f"{key}: {e}") from e
+    return replace(obj, **updates)
 
 
 KNOWN_SECTIONS = ("data", "train", "net", "sweep")
@@ -111,10 +105,10 @@ def load_experiment_config(path: str) -> tuple[SynthConfig, ExperimentConfig]:
         if name not in KNOWN_SECTIONS:
             raise ConfigError(f"{path}: unknown section [{name}]")
 
-    def apply(obj, name: str, special: dict | None = None):
-        # Coercion and the dataclass checks raise plain ValueErrors.
+    def apply(obj, name: str):
+        # The parsers and the dataclass checks raise plain ValueErrors.
         try:
-            return _apply_section(obj, sections.get(name, {}), special)
+            return _apply_section(obj, sections.get(name, {}))
         except ValueError as e:
             raise ConfigError(f"{path}: {e} in [{name}]") from e
 
@@ -124,12 +118,5 @@ def load_experiment_config(path: str) -> tuple[SynthConfig, ExperimentConfig]:
     sweep_cfg = apply(
         ExperimentConfig(models=[("vanilla", "none")], train=train_cfg,
                          net=net_cfg),
-        "sweep",
-        special={
-            "models": _parse_models,
-            "eta_grid": _float_tuple,
-            "count_grid": _int_tuple,
-            "c_prime_grid": _int_tuple,
-            "sigma_range_uv": _float_tuple,
-        })
+        "sweep")
     return data_cfg, sweep_cfg

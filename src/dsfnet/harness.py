@@ -89,6 +89,9 @@ class ExperimentConfig:
             raise ValueError("n_seeds must be >= 1")
         if not 0.0 <= self.mask_p <= 1.0:
             raise ValueError("mask_p must lie inside [0, 1]")
+        lo, hi = self.sigma_range_uv
+        if not 0.0 < lo <= hi:
+            raise ValueError("sigma_range_uv must satisfy 0 < lo <= hi")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric: {self.metric!r}")
 
@@ -132,11 +135,13 @@ class DeepModel:
 
     def __init__(self, name: str, n_channels: int, n_times: int,
                  net_cfg: ShallowNetConfig, seed: int,
-                 c_prime: int | None = None, tau: float = 0.1):
+                 c_prime: int | None = None, tau: float = 0.1,
+                 n_classes: int = 2):
         if name not in DEEP_MODELS:
             raise ValueError(f"not a deep model: {name!r}")
         self.name = name
         self.n_channels = n_channels
+        self.n_classes = n_classes
         self.store = ParamStore()
         rng = rng_for(seed, 0xD5F)
         self.front: DsfModule | InterpModule | None = None
@@ -149,7 +154,7 @@ class DeepModel:
         elif name in INTERP_KINDS:
             self.front = InterpModule(name, n_channels, self.store, rng)
         self.net = ShallowNet(self.c_prime or n_channels, n_times, net_cfg,
-                              self.store, rng)
+                              self.store, rng, n_classes)
 
     def forward(self, X: NDArray, train: bool = False,
                 rng: np.random.Generator | None = None) -> NDArray:
@@ -198,8 +203,7 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
     validation loss; restores the best-validation-loss parameters."""
     X_train, y_train = dataset.windows_and_labels("train")
     X_valid, y_valid = dataset.windows_and_labels("valid")
-    n_classes = model.net.cfg.n_classes
-    weights = class_weight_vector(y_train, n_classes)
+    weights = class_weight_vector(y_train, model.n_classes)
     if aug_spec is None:
         aug_spec = CorruptionSpec()
 
@@ -286,9 +290,8 @@ class FeatureModel:
     def _recording_features(self, windows: NDArray) -> NDArray:
         if self.kind == "riemann":
             covs = band_cov_stack(windows, self.sfreq)  # (n_win, bands, C, C)
-            return riemann_vectorize(aggregate_recording(covs, "logm_mean"))
-        return aggregate_recording(handcrafted_features(windows, self.sfreq),
-                                   "median")
+            return riemann_vectorize(covs).mean(axis=0)
+        return aggregate_recording(handcrafted_features(windows, self.sfreq))
 
     def fit(self, dataset: Dataset, denoise: str,
             aug_spec: CorruptionSpec | None = None) -> "FeatureModel":
@@ -363,11 +366,12 @@ def train_model_unit(cfg: ExperimentConfig, dataset: Dataset, name: str,
     ds_cfg = dataset.config
     aug = CorruptionSpec(sigma_range_uv=cfg.sigma_range_uv)
     if name in FEATURE_MODELS:
-        model = FeatureModel(name, ds_cfg.sfreq, cfg.net.n_classes, seed)
+        model = FeatureModel(name, ds_cfg.sfreq, ds_cfg.n_classes, seed)
         model.fit(dataset, denoise, aug)
         return model, None
     model = DeepModel(name, ds_cfg.n_channels, ds_cfg.n_times, cfg.net,
-                      seed, c_prime=c_prime, tau=cfg.dsf_tau)
+                      seed, c_prime=c_prime, tau=cfg.dsf_tau,
+                      n_classes=ds_cfg.n_classes)
     log = train_deep_model(model, dataset, cfg.train, denoise, seed, aug)
     return model, log
 

@@ -76,8 +76,10 @@ def oas_shrink(S: NDArray, n_samples: int) -> NDArray:
 
     tr_S = np.trace(S, axis1=-2, axis2=-1)
     tr_S2 = np.sum(S * S, axis=(-2, -1))
-    num = (1.0 - 2.0 / C) * tr_S2 + tr_S**2
-    den = (n_samples + 1.0 - 2.0 / C) * (tr_S2 - tr_S**2 / C)
+    # tr_S * tr_S, not tr_S**2: on a NumPy scalar ** calls pow, which can
+    # round differently from the product a stack computes.
+    num = (1.0 - 2.0 / C) * tr_S2 + tr_S * tr_S
+    den = (n_samples + 1.0 - 2.0 / C) * (tr_S2 - tr_S * tr_S / C)
     positive = den > 0.0
     rho = np.where(positive,
                    np.minimum(1.0, num / np.where(positive, den, 1.0)), 1.0)

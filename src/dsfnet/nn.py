@@ -448,14 +448,15 @@ class ShallowNetConfig:
     pool_width: int = 75
     pool_stride: int = 15
     dropout_rate: float = 0.5
-    n_classes: int = 2
 
 
 class ShallowNet(Sequential):
     """Temporal conv -> spatial conv -> square -> avg pool -> log -> dropout
-    -> dense classifier, on (batch, channels, time) input."""
+    -> dense classifier, on (batch, channels, time) input, with one output
+    per class."""
 
-    def __init__(self, n_channels, n_times, cfg: ShallowNetConfig, store, rng):
+    def __init__(self, n_channels, n_times, cfg: ShallowNetConfig, store, rng,
+                 n_classes: int = 2):
         self.cfg = cfg
         t_conv = n_times - cfg.temporal_kernel + 1
         if t_conv < cfg.pool_width:
@@ -478,6 +479,6 @@ class ShallowNet(Sequential):
             LogFloor(),
             Dropout(cfg.dropout_rate),
             Flatten(),
-            Dense("net.out", cfg.n_spatial_filters * n_pool,
-                  cfg.n_classes, store, rng),
+            Dense("net.out", cfg.n_spatial_filters * n_pool, n_classes,
+                  store, rng),
         ])

@@ -9,7 +9,7 @@ so that the 20-50 uV corruption regime is genuinely destructive.
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -190,7 +190,8 @@ def load_dataset(path: str) -> Dataset:
     """Read a save_dataset file: magic, version, the SynthConfig as a u32
     length and its UTF-8 JSON (version 1: C, T, sfreq), the recording
     count, then per recording (id, label, split tag, window count) and its
-    little-endian float64 windows. Every length is checked exactly."""
+    little-endian float64 windows. Every length is checked exactly. A
+    version 1 file takes its class count from its labels (max + 1)."""
     tags = {0: "", 1: "train", 2: "valid", 3: "test"}
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
@@ -213,6 +214,10 @@ def load_dataset(path: str) -> Dataset:
             if tag_code not in tags:
                 raise ValueError(f"{path}: unknown split tag {tag_code} at "
                                  f"byte offset {tag_offset}")
+            if version == FORMAT_VERSION and label >= cfg.n_classes:
+                raise ValueError(f"{path}: label {label} at byte offset "
+                                 f"{tag_offset - 1} is not below n_classes "
+                                 f"{cfg.n_classes}")
             windows = read_float64(
                 f, (n_win, cfg.n_channels, cfg.n_times), path)
             recordings.append(Recording(id=rec_id, label=label,
@@ -220,4 +225,9 @@ def load_dataset(path: str) -> Dataset:
             if tags[tag_code]:
                 splits[rec_id] = tags[tag_code]
         expect_end(f, path)
+    if version == 1 and recordings:
+        try:
+            cfg = replace(cfg, n_classes=max(r.label for r in recordings) + 1)
+        except ValueError as e:
+            raise ValueError(f"{path}: bad dataset labels: {e}") from e
     return Dataset(config=cfg, recordings=recordings, splits=splits)

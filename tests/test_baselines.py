@@ -10,8 +10,6 @@ from dsfnet.baselines import (HANDCRAFTED_NAMES, POWER_BAND_EDGES,
                               riemann_length, riemann_vectorize, zscore_apply,
                               zscore_fit)
 
-from conftest import random_spd
-
 
 def test_feature_lengths():
     assert len(HANDCRAFTED_NAMES) == 22
@@ -170,21 +168,7 @@ def test_logistic_regression_is_deterministic(rng):
 
 def test_aggregate_median(rng):
     items = [rng.normal(size=4) for _ in range(5)]
-    np.testing.assert_array_equal(aggregate_recording(items, "median"),
+    np.testing.assert_array_equal(aggregate_recording(items),
                                   np.median(np.stack(items), axis=0))
     with pytest.raises(ValueError):
-        aggregate_recording(items, "nope")
-    with pytest.raises(ValueError):
-        aggregate_recording([], "median")
-
-
-def test_aggregate_logm_mean_oracle(rng):
-    # Identical inputs: the geometric mean is the input itself.
-    S = random_spd(3, rng)
-    np.testing.assert_allclose(aggregate_recording([S, S, S], "logm_mean"), S,
-                               rtol=1e-10, atol=1e-10)
-    # Commuting (diagonal) matrices: elementwise geometric mean of diagonals.
-    A = np.diag([1.0, 4.0])
-    B = np.diag([4.0, 16.0])
-    out = aggregate_recording([A, B], "logm_mean")
-    np.testing.assert_allclose(out, np.diag([2.0, 8.0]), rtol=1e-12, atol=1e-12)
+        aggregate_recording([])

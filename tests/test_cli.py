@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import dsfnet
+import dsfnet.cli
 from dsfnet.cli import main, taylor_error_curve
+from dsfnet.config import load_experiment_config
+from dsfnet.harness import RANDOM_MASK, _cell_spec
 from dsfnet.nn import ParamStore
 from dsfnet.synth import load_dataset
 
@@ -104,6 +107,48 @@ def test_inspect_prints_channel_summary(tmp_path, cfg_path, dataset_path,
     printed = capsys.readouterr().out
     assert "channel 0" in printed and "channel 2" in printed
     assert len(open(out).read().splitlines()) > 0
+
+
+@pytest.mark.parametrize("n_corrupted", [None, 1])
+def test_inspect_corrupts_as_the_sweep_does(tmp_path, dataset_path,
+                                            monkeypatch, n_corrupted):
+    path = tmp_path / "noise.cfg"
+    path.write_text(TINY_CFG.format(models="dsfm_st:none")
+                    + "sigma_range_uv = 1, 1\nmask_p = 0.25\n")
+    specs = []
+
+    def fake_inspect_filters(model, recordings, spec, seed, dump_path):
+        specs.append(spec)
+        return None, {}
+
+    monkeypatch.setattr(dsfnet.cli, "inspect_filters", fake_inspect_filters)
+    argv = ["inspect", "--config", str(path), "--seed", "1",
+            "--dataset", dataset_path, "--out", str(tmp_path / "f.csv"),
+            "--eta", "0.5"]
+    if n_corrupted is not None:
+        argv += ["--n-corrupted", str(n_corrupted)]
+    assert main(argv) == 0
+    _, cfg = load_experiment_config(str(path))
+    assert specs == [_cell_spec(cfg, 0.5, RANDOM_MASK if n_corrupted is None
+                                else n_corrupted)]
+
+
+def test_class_count_comes_from_data_section(tmp_path):
+    path = tmp_path / "three.cfg"
+    path.write_text(TINY_CFG.format(models="vanilla, dsfd, riemann")
+                    .replace("[data]\n", "[data]\nn_classes = 3\n"))
+    data = str(tmp_path / "data.bin")
+    assert main(["gen", "--config", str(path), "--seed", "3",
+                 "--out", data]) == 0
+    assert {r.label for r in load_dataset(data).recordings} == {0, 1, 2}
+    out = tmp_path / "results.csv"
+    assert main(["sweep", "--config", str(path), "--seed", "1",
+                 "--dataset", data, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 3 * 2
+    params = str(tmp_path / "params.bin")
+    assert main(["train", "--config", str(path), "--seed", "1",
+                 "--dataset", data, "--out", params]) == 0
+    assert ParamStore.load(params)["net.out.b"].value.shape == (3,)
 
 
 def test_inspect_rejects_non_dsf_model(tmp_path, cfg_path, dataset_path):

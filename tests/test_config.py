@@ -1,9 +1,14 @@
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from dsfnet.config import (ConfigError, load_experiment_config,
+from dsfnet.config import (PARSERS, ConfigError, load_experiment_config,
                            parse_config_text)
+from dsfnet.harness import ExperimentConfig
+from dsfnet.nn import ShallowNetConfig, TrainConfig
+from dsfnet.synth import SynthConfig
 
 GOOD = """
 # experiment definition
@@ -86,12 +91,30 @@ def test_unknown_section_and_key_rejected(tmp_path):
         load_experiment_config(write(tmp_path, "[data]\nbogus = 1\n"))
 
 
-@pytest.mark.parametrize("key", ["dropout_rate", "seed"])
-def test_removed_train_keys_rejected(tmp_path, key):
-    # Dropout lives in [net]; the training seed comes from --seed.
+@pytest.mark.parametrize("section,key", [
+    pytest.param("train", "dropout_rate", id="dropout_rate"),
+    pytest.param("train", "seed", id="seed"),
+    pytest.param("sweep", "train", id="sweep-train"),
+    pytest.param("sweep", "net", id="sweep-net"),
+    pytest.param("sweep", "master_seed", id="sweep-master_seed"),
+    pytest.param("net", "n_classes", id="net-n_classes"),
+])
+def test_removed_train_keys_rejected(tmp_path, section, key):
+    # Dropout lives in [net], the nested [train] and [net] configs are
+    # sections of their own, the seed comes from --seed and the class
+    # count from [data].
     with pytest.raises(ConfigError,
-                       match=rf"unknown key '{key}' in \[train\]"):
-        load_experiment_config(write(tmp_path, f"[train]\n{key} = 1\n"))
+                       match=rf"unknown key '{key}' in \[{section}\]"):
+        load_experiment_config(write(tmp_path, f"[{section}]\n{key} = 1\n"))
+
+
+def test_every_field_but_the_nested_configs_has_a_parser():
+    # A field whose declared type has no parser is silently no key.
+    no_parser = [f.name
+                 for cls in (SynthConfig, TrainConfig, ShallowNetConfig,
+                             ExperimentConfig)
+                 for f in fields(cls) if f.type not in PARSERS]
+    assert no_parser == ["train", "net"]
 
 
 @pytest.mark.parametrize("section,line", [
@@ -103,6 +126,9 @@ def test_removed_train_keys_rejected(tmp_path, key):
     ("sweep", "c_prime_grid = 0"),
     ("sweep", "n_seeds = 0"),
     ("sweep", "mask_p = 1.5"),
+    ("sweep", "sigma_range_uv = 5"),     # a pair takes two values
+    ("sweep", "sigma_range_uv = 50, 20"),
+    ("data", "class_freqs = 10"),
 ])
 def test_bad_value_names_file_and_section(tmp_path, section, line):
     path = write(tmp_path, f"[{section}]\n{line}\n")
@@ -112,6 +138,36 @@ def test_bad_value_names_file_and_section(tmp_path, section, line):
     assert isinstance(info.value.__cause__, ValueError)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("data", "n_times", "abc"),
+    ("data", "class_freqs", "10"),
+    ("sweep", "count_grid", "1.5"),
+])
+def test_unparsable_value_names_its_key(tmp_path, section, key, value):
+    path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf": {key}: .* in \[{section}\]$"):
+        load_experiment_config(path)
+
+
 def test_invalid_model_rejected_by_experiment_config(tmp_path):
     with pytest.raises(ValueError, match="unknown model"):
         load_experiment_config(write(tmp_path, "[sweep]\nmodels = resnet\n"))
+
+
+def readme_config_example() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config format", 1)[1]
+    return section.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_example_config_loads(tmp_path):
+    data_cfg, sweep_cfg = load_experiment_config(
+        write(tmp_path, readme_config_example()))
+    assert data_cfg.n_channels == 6
+    assert data_cfg.n_recordings == 60
+    assert sweep_cfg.train.max_epochs == 25
+    assert sweep_cfg.models == [("vanilla", "none"),
+                                ("dsfm_st", "augmentation"),
+                                ("riemann", "none")]
+    assert sweep_cfg.count_grid == (-1,)
+    assert sweep_cfg.n_seeds == 3

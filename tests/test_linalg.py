@@ -66,6 +66,18 @@ def test_oas_zero_trace_degenerate():
     assert np.all(np.linalg.eigvalsh(out) > 0)
 
 
+@pytest.mark.parametrize("n", [10, 1000])
+@pytest.mark.parametrize("trace", [8688.542943473192, 6137.939524426634])
+def test_oas_one_matrix_equals_batch_of_one(trace, n):
+    # For these traces, pow(trace, 2) on a NumPy scalar rounds one ulp
+    # away from trace * trace, the square an array computes.
+    S = np.array([[trace - 2.0, 0.5, 0.25],
+                  [0.5, 1.0, 0.125],
+                  [0.25, 0.125, 1.0]])
+    assert np.trace(S) == trace
+    np.testing.assert_array_equal(oas_shrink(S, n), oas_shrink(S[None], n)[0])
+
+
 def test_sym_eig_matches_numpy_and_orders_descending(rng):
     S = random_spd(6, rng)
     w, U = sym_eig(S)

@@ -285,7 +285,7 @@ def test_shallow_net_gradients_finite_difference():
     store = ParamStore()
     cfg = ShallowNetConfig(n_temporal_filters=2, temporal_kernel=3,
                            n_spatial_filters=2, pool_width=4, pool_stride=2,
-                           dropout_rate=0.0, n_classes=2)
+                           dropout_rate=0.0)
     net = ShallowNet(2, 12, cfg, store, rng)
     x = rng.normal(size=(3, 2, 12))
     y = np.array([0, 1, 0])
@@ -370,9 +370,9 @@ def test_fresh_vanilla_model_keeps_parameter_names_shapes_and_draws(tmp_path):
     want.add("net.tconv.b", np.zeros(F))
     want.add("net.sconv.W", he_uniform_init((C * F, S), C * F, rng))
     want.add("net.sconv.b", np.zeros(S))
-    want.add("net.out.W", he_uniform_init((S * n_pool, cfg.n_classes),
+    want.add("net.out.W", he_uniform_init((S * n_pool, model.n_classes),
                                           S * n_pool, rng))
-    want.add("net.out.b", np.zeros(cfg.n_classes))
+    want.add("net.out.b", np.zeros(model.n_classes))
     assert model.store.names() == want.names()
     model.store.save(str(tmp_path / "got.bin"))
     want.save(str(tmp_path / "want.bin"))

@@ -163,6 +163,23 @@ def test_load_version_1_file(tmp_path, dataset_bytes):
         np.testing.assert_array_equal(ra.windows, rb.windows)
 
 
+def test_load_version_1_file_takes_class_count_from_labels(tmp_path):
+    cfg = dataclasses.replace(TINY, n_recordings=9, n_classes=3)
+    ds = split_dataset(generate_dataset(cfg, seed=3), (0.5, 0.25, 0.25), 3)
+    v2 = tmp_path / "v2.bin"
+    save_dataset(ds, str(v2))
+    v1 = as_version_1(v2.read_bytes(), cfg)
+    path = tmp_path / "v1.bin"
+    path.write_bytes(v1)
+    assert load_dataset(str(path)).config.n_classes == 3
+    # Version 1 header (28 bytes), then the first recording's u64 id and
+    # its label byte.
+    path.write_bytes(v1[:36] + bytes([5]) + v1[37:])
+    where = re.escape(str(path))
+    with pytest.raises(ValueError, match=f"{where}: bad dataset labels"):
+        load_dataset(str(path))
+
+
 @pytest.mark.parametrize("change", [
     lambda fields: b"{not json",
     lambda fields: json.dumps({**fields, "bogus": 1}).encode(),
@@ -213,6 +230,18 @@ def check_unknown_split_tag(tmp_path, data, tag):
     with pytest.raises(ValueError,
                        match=f"{where}: unknown split tag 9 at byte offset "
                              f"{tag}$"):
+        load_dataset(str(path))
+
+
+def test_load_rejects_label_outside_class_count(tmp_path, dataset_bytes):
+    # The first recording's label byte follows the count and its u64 id.
+    label = count_offset(dataset_bytes) + 4 + 8
+    path = tmp_path / "badlabel.bin"
+    path.write_bytes(dataset_bytes[:label] + bytes([2])
+                     + dataset_bytes[label + 1:])
+    where = re.escape(str(path))
+    with pytest.raises(ValueError, match=f"{where}: label 2 at byte offset "
+                                         f"{label} is not below n_classes 2"):
         load_dataset(str(path))
 
 

@@ -139,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--dataset", required=True, help="dataset file from gen")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel evaluation workers")
+                   help="worker processes; each trains and evaluates "
+                        "whole model units")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("inspect", help="dump per-window DSF filters")

@@ -10,11 +10,11 @@ row per cell, seed and model unit.
 
 import csv
 import itertools
+import multiprocessing as mp
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -376,11 +376,20 @@ def train_model_unit(cfg: ExperimentConfig, dataset: Dataset, name: str,
     return model, log
 
 
-def _evaluate_unit(cfg: ExperimentConfig, recordings: list[Recording],
-                   unit) -> list[ResultRow]:
-    """Evaluate one trained unit on every grid cell, in (eta, count)
+_sweep = None  # (cfg, dataset, test recordings), inherited by forked workers
+
+
+def _init_sweep_worker(*sweep) -> None:
+    global _sweep
+    _sweep = sweep
+
+
+def _sweep_unit(unit, sweep=None) -> list[ResultRow]:
+    """Train unit u, then evaluate it on every grid cell in (eta, count)
     order. Cell i of unit u is seeded by cell index u * n_cells + i."""
-    u, (name, denoise, seed, model) = unit
+    cfg, dataset, recordings = sweep or _sweep
+    u, name, denoise, seed, c_prime = unit
+    model, _ = train_model_unit(cfg, dataset, name, denoise, seed, c_prime)
     cells = list(itertools.product(cfg.eta_grid, cfg.count_grid))
     return [ResultRow(seed=seed, split_id=0, model=name, denoise=denoise,
                       eta=eta, n_corrupted=count, c_prime=model.c_prime,
@@ -395,9 +404,11 @@ def _evaluate_unit(cfg: ExperimentConfig, recordings: list[Recording],
 def run_sweep(cfg: ExperimentConfig, dataset: Dataset, out_path: str,
               jobs: int = 1) -> list[ResultRow]:
     """Train every model unit per seed, evaluate every grid cell and write
-    the rows as CSV. Units are trained here, then evaluated one task per
-    unit; cell seeds derive from (master seed, cell index), so serial and
-    parallel schedules give identical results."""
+    the rows as CSV. One task trains and evaluates each unit, in up to
+    `jobs` forked workers that return only rows; cell seeds derive from
+    (master seed, cell index), so every jobs value gives the same CSV."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     test_recs = dataset.split("test")
     if not test_recs:
         raise ValueError("dataset has no test split")
@@ -413,16 +424,18 @@ def run_sweep(cfg: ExperimentConfig, dataset: Dataset, out_path: str,
         for c_prime, seed_idx in itertools.product(c_primes,
                                                    range(cfg.n_seeds)):
             seed = derive_seed(cfg.master_seed, 100 + seed_idx)
-            model, _ = train_model_unit(cfg, dataset, name, denoise, seed,
-                                        c_prime)
-            units.append((name, denoise, seed, model))
+            units.append((len(units), name, denoise, seed, c_prime))
 
-    evaluate = partial(_evaluate_unit, cfg, test_recs)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_unit = list(pool.map(evaluate, enumerate(units)))
+    sweep = (cfg, dataset, test_recs)
+    workers = min(jobs, len(units))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=mp.get_context("fork"),
+                                 initializer=_init_sweep_worker,
+                                 initargs=sweep) as pool:
+            per_unit = list(pool.map(_sweep_unit, units))
     else:
-        per_unit = map(evaluate, enumerate(units))
+        per_unit = [_sweep_unit(unit, sweep) for unit in units]
     rows = sorted(itertools.chain.from_iterable(per_unit),
                   key=lambda r: (r.model, r.denoise, r.seed, r.eta,
                                  r.n_corrupted, r.c_prime))

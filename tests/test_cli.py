@@ -199,6 +199,22 @@ def test_truncated_dataset_fails_in_one_line(tmp_path, cfg_path, dataset_path,
     assert err[0].startswith(f"error: {short}: truncated at byte offset")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one_in_one_line(tmp_path, cfg_path,
+                                                  dataset_path, capsys,
+                                                  monkeypatch, jobs):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a unit")
+    monkeypatch.setattr(dsfnet.harness, "train_model_unit", no_training)
+    out = tmp_path / "results.csv"
+    assert main(["sweep", "--config", cfg_path(), "--seed", "0",
+                 "--dataset", dataset_path, "--out", str(out),
+                 "--jobs", jobs]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: jobs must be >= 1"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["gen", "train", "inspect",
                                      "taylor-bench"])
 def test_jobs_is_a_sweep_option_only(tmp_path, command, capsys):

@@ -291,6 +291,49 @@ def test_run_sweep_serial_parallel_identical(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def test_run_sweep_pool_has_at_most_one_worker_per_unit(tmp_path,
+                                                        monkeypatch):
+    sizes = []
+
+    class SpyPool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
+    cfg = sweep_config([("vanilla", "none"), ("riemann", "none")])
+    run_sweep(cfg, tiny_dataset(), str(tmp_path / "r.csv"), jobs=8)
+    assert sizes == [2]
+
+
+def test_run_sweep_parent_never_pickles_a_model(tmp_path, monkeypatch):
+    ds = tiny_dataset()
+    cfg = sweep_config([("vanilla", "none"), ("riemann", "none")])
+    serial = tmp_path / "serial.csv"
+    run_sweep(cfg, ds, str(serial), jobs=1)
+
+    def no_pickling(self):
+        raise AssertionError(f"pickled a {type(self).__name__}")
+    monkeypatch.setattr(DeepModel, "__getstate__", no_pickling, raising=False)
+    monkeypatch.setattr(FeatureModel, "__getstate__", no_pickling,
+                        raising=False)
+    parallel = tmp_path / "parallel.csv"
+    run_sweep(cfg, ds, str(parallel), jobs=2)
+    assert parallel.read_bytes() == serial.read_bytes()
+
+
+def test_run_sweep_worker_error_reaches_caller(tmp_path, monkeypatch):
+    def non_finite(*args, **kwargs):
+        raise ValueError("logits contain non-finite values")
+    monkeypatch.setattr(harness, "softmax_xent", non_finite)
+    cfg = sweep_config([("vanilla", "none"), ("riemann", "none")])
+    out = tmp_path / "r.csv"
+    with pytest.raises(ValueError, match=r"^vanilla \(seed \d+\) epoch 0, "
+                       r"training batch 0: logits contain non-finite"):
+        run_sweep(cfg, tiny_dataset(), str(out), jobs=2)
+    assert not out.exists()
+
+
 def test_run_sweep_rejects_count_above_channels_before_training(
         tmp_path, monkeypatch):
     def no_training(*args, **kwargs):

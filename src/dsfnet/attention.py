@@ -118,9 +118,10 @@ class DsfModule(Layer):
         self._W = W
         return np.einsum("bvc,bct->bvt", W, X, optimize=True) + b[:, :, None]
 
-    def backward(self, dY: NDArray, store: ParamStore) -> NDArray:
+    def backward(self, dY: NDArray, store: ParamStore) -> NDArray | None:
         """Propagate dL/dY into the MLP parameters; returns dL/dX through
-        the filter application only (the summary path carries no gradient)."""
+        the filter application only (the summary path carries no gradient),
+        or None with ``input_grad`` off."""
         cfg = self.cfg
         dW = np.einsum("bvt,bct->bvc", dY, self._X, optimize=True)
         db = dY.sum(axis=2)
@@ -129,4 +130,6 @@ class DsfModule(Layer):
         B = dY.shape[0]
         draw = np.concatenate([dW.reshape(B, -1), db], axis=1)
         self.mlp.backward(draw, store)
+        if not self.input_grad:
+            return None
         return np.einsum("bvc,bvt->bct", self._W, dY, optimize=True)

@@ -71,8 +71,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    if not 0.0 <= args.eta <= 1.0:
+        raise ValueError(f"--eta must be in [0, 1], got {args.eta}")
     _, sweep_cfg = _load_configs(args)
     ds = load_dataset(args.dataset)
+    C = ds.config.n_channels
+    if args.n_corrupted is not None and not 0 <= args.n_corrupted <= C:
+        raise ValueError(f"--n-corrupted must be in [0, {C}] for a "
+                         f"{C}-channel dataset, got {args.n_corrupted}")
     name, denoise = sweep_cfg.models[0]
     if name not in DSF_MODELS:
         raise ValueError(f"{name!r} is not a DSF-family model")
@@ -107,6 +113,8 @@ def taylor_error_curve(windows, n_terms_grid):
 
 
 def cmd_taylor_bench(args) -> int:
+    if args.n_windows < 1:
+        raise ValueError(f"--n-windows must be >= 1, got {args.n_windows}")
     data_cfg, _ = _load_configs(args)
     ds = generate_dataset(data_cfg, args.seed)
     windows = np.concatenate([r.windows for r in ds.recordings])

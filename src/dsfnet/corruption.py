@@ -38,6 +38,9 @@ class CorruptionSpec:
             raise ValueError("sigma range must be positive")
         if self.scope not in ("per_window", "per_recording"):
             raise ValueError(f"unknown scope: {self.scope!r}")
+        if self.forced_count is not None and self.forced_count < 0:
+            raise ValueError(
+                f"forced_count must be >= 0, got {self.forced_count}")
 
 
 def sample_mask(C: int, p: float, rng: np.random.Generator) -> NDArray:

@@ -155,6 +155,8 @@ class DeepModel:
             self.front = InterpModule(name, n_channels, self.store, rng)
         self.net = ShallowNet(self.c_prime or n_channels, n_times, net_cfg,
                               self.store, rng, n_classes)
+        # Nothing reads the gradient with respect to the input batch.
+        (self.front or self.net.layers[0]).input_grad = False
 
     def forward(self, X: NDArray, train: bool = False,
                 rng: np.random.Generator | None = None) -> NDArray:

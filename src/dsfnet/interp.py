@@ -90,7 +90,7 @@ class InterpModule(Layer):
         self._omega = dynamic_omega(alpha, W_X)
         return self._omega @ X
 
-    def backward(self, dY: NDArray, store: ParamStore) -> NDArray:
+    def backward(self, dY: NDArray, store: ParamStore) -> NDArray | None:
         alpha, W_X = self._alpha, self._W_X
         dOmega = dY @ self._X.swapaxes(-1, -2)
         dW_X = np.where(self.offdiag, (1.0 - alpha)[..., None] * dOmega, 0.0)
@@ -105,4 +105,6 @@ class InterpModule(Layer):
             if self.kind == "dynamic":
                 draw = np.where(self.offdiag, dW_X, draw[..., None])
             self.mlp.backward(draw.reshape(len(dY), -1), store)
+        if not self.input_grad:
+            return None
         return self._omega.swapaxes(-1, -2) @ dY

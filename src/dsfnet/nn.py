@@ -133,7 +133,13 @@ class Layer:
 
     The caches are the ``_``-prefixed attributes: scratch space between a
     forward and a backward pass, left out when a layer is pickled.
+
+    A model sets ``input_grad`` to False on its first layer, whose input
+    gradient nobody reads; layers that can come first (TemporalConv and
+    the front ends) then return None from backward instead of computing it.
     """
+
+    input_grad = True
 
     def __getstate__(self):
         return {k: v for k, v in vars(self).items() if not k.startswith("_")}
@@ -164,6 +170,17 @@ class Dense(Layer):
         return dout @ store[self.w_name].value.T
 
 
+def _bins(spectrum):
+    """(..., W) spectra -> contiguous (W, ...) stack, one matrix per bin."""
+    return np.ascontiguousarray(np.moveaxis(spectrum, -1, 0))
+
+
+def _irfft_bins(stack, T):
+    """(W, P, Q) bin stack -> (P, Q, T) signals. irfft runs on a contiguous
+    copy: about twice as fast as on the transposed view, copy included."""
+    return np.fft.irfft(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), n=T)
+
+
 class TemporalConv(Layer):
     """Valid-padding temporal convolution, filters shared across channels,
     with an optional spatial projection folded into the same kernel.
@@ -175,10 +192,13 @@ class TemporalConv(Layer):
     SpatialConv's own forward and backward are never called.
 
     Either way the projection Ws, bs (without a spatial layer, the identity
-    and 0) is folded into one kernel K[s, c, j] = sum_f Ws[c*F + f, s]
+    and 0) is folded into one kernel K[c, s, j] = sum_f Ws[c*F + f, s]
     Wt[f, j] with bias sum_{c,f} Ws[c*F + f, s] bt[f] + bs[s], and every
     correlation is an rFFT product of length T, at which a valid
-    correlation never wraps.
+    correlation never wraps. Each of the W = T//2 + 1 bins mixes channels
+    with one matrix product: forward X^ (W, B, C) @ conj(K^) (W, C, S), and
+    backward one stacked product each for dK and, unless ``input_grad`` is
+    off, dx.
     """
 
     def __init__(self, name, n_filters, kernel, store, rng):
@@ -206,30 +226,31 @@ class TemporalConv(Layer):
         if T < k:
             raise ValueError(f"window of {T} samples shorter than kernel {k}")
         Ws, bs = self._projection(C, store)
-        K = np.einsum("cfs,fj->scj", Ws, store[self.w_name].value)
+        K = np.einsum("cfs,fj->csj", Ws, store[self.w_name].value)
         bias = np.einsum("cfs,f->s", Ws, store[self.b_name].value) + bs
-        self._xf = np.fft.rfft(x)
-        self._kf = np.fft.rfft(K, n=T)
-        yf = np.einsum("bcw,scw->bsw", self._xf, self._kf.conj())
-        return np.fft.irfft(yf, n=T)[..., :T - k + 1] + bias[:, None]
+        self._xf = _bins(np.fft.rfft(x))
+        self._kf = _bins(np.fft.rfft(K, n=T))
+        y = _irfft_bins(self._xf @ self._kf.conj(), T)
+        return y[..., :T - k + 1] + bias[:, None]
 
     def backward(self, dout, store):
         xf, kf, k = self._xf, self._kf, self.kernel
-        C, T = xf.shape[1], dout.shape[-1] + k - 1
-        df = np.fft.rfft(dout, n=T)
-        dK = np.fft.irfft(np.einsum("bcw,bsw->scw", xf, df.conj()),
-                          n=T)[..., :k]
+        C, T = xf.shape[2], dout.shape[-1] + k - 1
+        df = _bins(np.fft.rfft(dout, n=T))
+        dK = _irfft_bins(xf.swapaxes(1, 2) @ df.conj(), T)[..., :k]
         dbias = dout.sum(axis=(0, 2))
         Ws, _ = self._projection(C, store)
-        store[self.w_name].grad += np.einsum("cfs,scj->fj", Ws, dK)
+        store[self.w_name].grad += np.einsum("cfs,csj->fj", Ws, dK)
         store[self.b_name].grad += np.einsum("cfs,s->f", Ws, dbias)
         if self.spatial is not None:
             Wt, bt = store[self.w_name].value, store[self.b_name].value
-            dWs = np.einsum("fj,scj->cfs", Wt, dK) + np.outer(bt, dbias)
+            dWs = np.einsum("fj,csj->cfs", Wt, dK) + np.outer(bt, dbias)
             p = store[self.spatial.w_name]
             p.grad += dWs.reshape(p.grad.shape)
             store[self.spatial.b_name].grad += dbias
-        return np.fft.irfft(np.einsum("bsw,scw->bcw", df, kf), n=T)
+        if not self.input_grad:
+            return None
+        return _irfft_bins(df @ kf.swapaxes(1, 2), T)
 
 
 class SpatialConv(Layer):

@@ -157,6 +157,31 @@ def test_inspect_rejects_non_dsf_model(tmp_path, cfg_path, dataset_path):
                  "--out", str(tmp_path / "f.csv")]) == 2
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--eta", "-0.5"], "--eta must be in [0, 1], got -0.5"),
+    (["--eta", "1.5"], "--eta must be in [0, 1], got 1.5"),
+    (["--eta", "1.0", "--n-corrupted", "-1"],
+     "--n-corrupted must be in [0, 3] for a 3-channel dataset, got -1"),
+    (["--eta", "1.0", "--n-corrupted", "-3"],
+     "--n-corrupted must be in [0, 3] for a 3-channel dataset, got -3"),
+    (["--eta", "1.0", "--n-corrupted", "4"],
+     "--n-corrupted must be in [0, 3] for a 3-channel dataset, got 4"),
+])
+def test_inspect_rejects_bad_corruption_in_one_line(tmp_path, cfg_path,
+                                                    dataset_path, capsys,
+                                                    monkeypatch, flags,
+                                                    message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a unit")
+    monkeypatch.setattr(dsfnet.cli, "train_model_unit", no_training)
+    out = tmp_path / "f.csv"
+    assert main(["inspect", "--config", cfg_path("dsfm_st:none"),
+                 "--seed", "1", "--dataset", dataset_path,
+                 "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section,line", [
     ("train", "lr0 = 0"),
     ("data", "n_channels = 2"),
@@ -237,6 +262,17 @@ def test_taylor_bench_curve_and_csv(tmp_path, cfg_path):
     assert [int(r["n_terms"]) for r in rows] == [5, 20]
     errs = [float(r["median_rel_error"]) for r in rows]
     assert errs[1] <= errs[0]
+
+
+@pytest.mark.parametrize("n_windows", ["0", "-1"])
+def test_taylor_bench_rejects_n_windows_below_one(tmp_path, cfg_path, capsys,
+                                                  n_windows):
+    out = tmp_path / "taylor.csv"
+    assert main(["taylor-bench", "--config", cfg_path(), "--seed", "0",
+                 "--out", str(out), "--n-windows", n_windows]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --n-windows must be >= 1, got {n_windows}"]
+    assert not out.exists()
 
 
 def test_taylor_error_curve_shrinks_with_terms(rng):

@@ -102,6 +102,12 @@ def test_recording_mask_forced_count(rng):
         recording_mask(2, spec, rng)
 
 
+def test_spec_rejects_negative_forced_count():
+    with pytest.raises(ValueError, match="forced_count must be >= 0, got -3"):
+        CorruptionSpec(forced_count=-3, scope="per_recording")
+    assert CorruptionSpec(forced_count=0).forced_count == 0
+
+
 def test_recording_mask_forced_mask(rng):
     forced = np.array([1.0, 0.0, 1.0])
     spec = CorruptionSpec(forced_mask=forced, scope="per_recording")

@@ -1,3 +1,4 @@
+import copy
 import pickle
 
 import numpy as np
@@ -134,6 +135,57 @@ def test_pickled_model_carries_no_forward_caches(name):
     blob = pickle.dumps(model)
     assert len(blob) <= len(pickle.dumps(model.store)) + 64 * 1024
     np.testing.assert_array_equal(pickle.loads(blob).predict_proba(X), probs)
+
+
+@pytest.mark.parametrize("name", ["vanilla", "dsfm_st", "dynamic",
+                                  "interp_only"])
+def test_backward_skips_only_the_unread_input_gradient(name):
+    model = DeepModel(name, 3, 128, TINY_NET, seed=0)
+    X = np.random.default_rng(0).normal(size=(4, 3, 128))
+    dlogits = np.random.default_rng(1).normal(size=(4, 2))
+    full = copy.deepcopy(model)
+    (full.front or full.net.layers[0]).input_grad = True
+
+    model.forward(X)
+    model.backward(dlogits)
+    # The chain with every input gradient computed, the first layer's too.
+    full.forward(X)
+    dX = full.net.backward(dlogits, full.store)
+    if full.front is not None:
+        dX = full.front.backward(dX, full.store)
+    assert dX.shape == X.shape
+    for n in model.store.names():
+        assert np.any(model.store[n].grad != 0.0), n
+        np.testing.assert_allclose(model.store[n].grad, full.store[n].grad,
+                                   rtol=1e-12, err_msg=n)
+
+
+def model_as_built_or_reloaded(name, reload):
+    model = DeepModel(name, 3, 128, TINY_NET, seed=0)
+    return pickle.loads(pickle.dumps(model)) if reload else model
+
+
+@pytest.mark.parametrize("reload", [False, True], ids=["built", "pickled"])
+def test_vanilla_backward_makes_one_inverse_fft(monkeypatch, reload):
+    model = model_as_built_or_reloaded("vanilla", reload)
+    model.forward(np.random.default_rng(0).normal(size=(4, 3, 128)))
+    irfft, calls = np.fft.irfft, []
+
+    def counting_irfft(*args, **kwargs):
+        calls.append(1)
+        return irfft(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+    model.backward(np.ones((4, 2)))
+    assert len(calls) == 1  # the kernel gradient dK; no input gradient
+
+
+@pytest.mark.parametrize("reload", [False, True], ids=["built", "pickled"])
+@pytest.mark.parametrize("name", ["dsfm_st", "dynamic", "interp_only"])
+def test_front_end_returns_no_input_gradient(name, reload):
+    model = model_as_built_or_reloaded(name, reload)
+    Y = model.front.forward(np.random.default_rng(0).normal(size=(4, 3, 128)),
+                            model.store)
+    assert model.front.backward(np.ones_like(Y), model.store) is None
 
 
 def test_training_is_deterministic_and_patience_zero_stops_after_one_epoch():

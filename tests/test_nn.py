@@ -311,8 +311,13 @@ def fused_conv(store, rng, C, F=3, k=5, S=5):
     return layer
 
 
-def test_fused_temporal_conv_equals_temporal_then_spatial(rng):
-    B, C, T = 3, 4, 21
+@pytest.mark.parametrize("B,T", [
+    pytest.param(3, 21, id="odd-T"),
+    pytest.param(3, 600, id="even-T"),  # the reference T: a Nyquist bin
+    pytest.param(1, 21, id="B1"),
+])
+def test_fused_temporal_conv_equals_temporal_then_spatial(rng, B, T):
+    C = 4
     store = ParamStore()
     fused = fused_conv(store, rng, C)
     temporal = copy.copy(fused)  # same parameters, no spatial layer
@@ -331,13 +336,19 @@ def test_fused_temporal_conv_equals_temporal_then_spatial(rng):
                lambda d: temporal.backward(spatial.backward(d, store), store))
     got = run(lambda v: fused.forward(v, store),
               lambda d: fused.backward(d, store))
+    def assert_close(actual, desired, err_msg=""):
+        # Entries near 0 carry the rounding of a length-T transform, so
+        # the bound also allows 1e-12 of the largest entry.
+        np.testing.assert_allclose(actual, desired, rtol=1e-12,
+                                   atol=1e-12 * np.abs(desired).max(),
+                                   err_msg=err_msg)
+
     assert got[0].shape == (B, 5, T - 5 + 1)  # S maps, kernel 5
-    np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
-    np.testing.assert_allclose(got[1], want[1], rtol=1e-12)
+    assert_close(got[0], want[0])
+    assert_close(got[1], want[1])
     assert sorted(got[2]) == ["sc.W", "sc.b", "tc.W", "tc.b"]
     for name in got[2]:
-        np.testing.assert_allclose(got[2][name], want[2][name], rtol=1e-12,
-                                   err_msg=name)
+        assert_close(got[2][name], want[2][name], err_msg=name)
 
 
 def test_fused_temporal_conv_gradients_finite_difference(rng):

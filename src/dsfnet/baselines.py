@@ -9,8 +9,8 @@ aggregation helpers.
 import numpy as np
 from numpy.typing import NDArray
 
-from .linalg import (check_finite, matrix_log_eig, oas_shrink,
-                     sample_covariance, vec_upper)
+from .linalg import (DegenerateInputError, _mT, check_finite,
+                     matrix_log_eig, oas_shrink, vec_upper)
 from .nn import (Dense, ParamStore, TrainConfig, adamw_step, cosine_lr,
                  softmax, softmax_xent)
 
@@ -43,32 +43,42 @@ def handcrafted_length(n_channels: int) -> int:
     return len(HANDCRAFTED_NAMES) * n_channels
 
 
-def bandpass_filterbank(X: NDArray, sfreq: float) -> NDArray:
-    """Zero-phase brick-wall RIEMANN_BANDS filters: zero out-of-band bins.
+def band_cov_stack(X: NDArray, sfreq: float) -> NDArray:
+    """Per-band OAS-shrunk covariances of (..., C, T) windows, shape
+    (..., n_bands, C, C).
 
-    Maps (..., C, T) windows to (..., n_bands, C, T).
+    Each band's covariance is that of the window brick-wall filtered to
+    the band, closed at both ends, with the DC bin excluded (the centring
+    of a sample covariance). By Parseval it comes straight from the rFFT
+    bins X^: S_b = Re sum_{f in b} w_f X^_f X^_f^H / (T (T - 1)), with
+    w_f = 2 except at the Nyquist bin of an even T, where w_f = 1.
     """
     X = np.asarray(X, dtype=np.float64)
+    check_finite(X, "window")
     T = X.shape[-1]
+    if T < 2:
+        raise DegenerateInputError(
+            f"need windows with at least 2 samples, got shape {X.shape}")
     nyquist = sfreq / 2.0
     for f_lo, f_hi in RIEMANN_BANDS:
         if f_hi > nyquist:
             raise ValueError(f"band ({f_lo}, {f_hi}) Hz exceeds Nyquist "
                              f"{nyquist} Hz")
-    spec = np.fft.rfft(X, axis=-1)[..., None, :, :]
     freqs = np.fft.rfftfreq(T, d=1.0 / sfreq)
     lo, hi = np.asarray(RIEMANN_BANDS, dtype=np.float64).T
-    keep = (freqs >= lo[:, None]) & (freqs <= hi[:, None])  # (n_bands, F)
-    return np.fft.irfft(spec * keep[:, None, :], n=T, axis=-1)
-
-
-def band_cov_stack(X: NDArray, sfreq: float) -> NDArray:
-    """Per-band OAS-shrunk covariances of (..., C, T) windows, shape
-    (..., n_bands, C, C)."""
-    X = np.asarray(X, dtype=np.float64)
-    check_finite(X, "window")
-    return oas_shrink(sample_covariance(bandpass_filterbank(X, sfreq)),
-                      X.shape[-1])
+    starts = np.maximum(np.searchsorted(freqs, lo, side="left"), 1)
+    stops = np.searchsorted(freqs, hi, side="right")
+    weight = np.full(len(freqs), 2.0)
+    if T % 2 == 0:
+        weight[-1] = 1.0
+    spec = np.fft.rfft(X, axis=-1) * np.sqrt(weight / (T * (T - 1)))
+    # Interleaved (re, im) pairs: a band's slice R gives Re(A A^H) as
+    # R @ R^T. The band axis keeps every product at least 3-D, so a lone
+    # (C, T) window takes the same matmul path as its row of a stack.
+    pairs = spec.view(np.float64)[..., None, :, :]
+    bands = [pairs[..., 2 * a:2 * b] for a, b in zip(starts, stops)]
+    S = np.concatenate([R @ _mT(R) for R in bands], axis=-3)
+    return oas_shrink((S + _mT(S)) / 2.0, T)
 
 
 def riemann_vectorize(covs: NDArray) -> NDArray:
@@ -89,8 +99,12 @@ def handcrafted_features(X: NDArray, sfreq: float) -> NDArray:
     var = centered.var(axis=-1)
     std = np.sqrt(var)
     rms = np.sqrt(np.mean(X**2, axis=-1))
-    q10, q25, q75, q90 = np.quantile(X, (0.1, 0.25, 0.75, 0.9), axis=-1)
-    ptp = X.max(axis=-1) - X.min(axis=-1)
+    # Sorted once: NaN sorts last, so a channel holding one still gets NaN
+    # quantiles and a NaN ptp, as max - min gives.
+    X_sorted = np.sort(X, axis=-1)
+    q10, q25, q75, q90 = np.quantile(X_sorted, (0.1, 0.25, 0.75, 0.9),
+                                     axis=-1)
+    ptp = X_sorted[..., -1] - X_sorted[..., 0]
 
     spec = np.abs(np.fft.rfft(X, axis=-1)) ** 2 / T
     freqs = np.fft.rfftfreq(T, d=1.0 / sfreq)
@@ -102,20 +116,22 @@ def handcrafted_features(X: NDArray, sfreq: float) -> NDArray:
     dx = np.diff(X, axis=-1)
     ddx = np.diff(dx, axis=-1)
     var_dx = dx.var(axis=-1)
+    c2 = centered * centered  # products: ** 3 and ** 4 would call libm pow
     # Statistics with a zero denominator are 0; NaN compares false, so a
     # non-finite channel gets 0 here too.
     with np.errstate(divide="ignore", invalid="ignore"):
-        kurtosis = np.where(std > 0, np.mean(centered**4, axis=-1) / var**2
+        kurtosis = np.where(std > 0, np.mean(c2 * c2, axis=-1) / var**2
                             - 3.0, 0.0)
-        skewness = np.where(std > 0, np.mean(centered**3, axis=-1) / std**3,
-                            0.0)
+        skewness = np.where(std > 0, np.mean(c2 * centered, axis=-1)
+                            / std**3, 0.0)
         mobility = np.where(var > 0, np.sqrt(var_dx / var), 0.0)
         mobility_dx = np.where(var_dx > 0,
                                np.sqrt(ddx.var(axis=-1) / var_dx), 0.0)
         complexity = np.where(mobility > 0, mobility_dx / mobility, 0.0)
     line_length = np.abs(dx).sum(axis=-1)
-    zero_crossings = np.sum(np.sign(X[..., :-1]) * np.sign(X[..., 1:]) < 0,
-                            axis=-1)
+    # A strict sign change: exact zeros and NaN never count.
+    a, b = X[..., :-1], X[..., 1:]
+    zero_crossings = np.sum((a < 0) & (b > 0) | (a > 0) & (b < 0), axis=-1)
 
     feats = np.stack([mean, std, rms, kurtosis, skewness, q10, q25, q75, q90,
                       ptp, *log_powers, mobility, complexity, line_length,

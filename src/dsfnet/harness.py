@@ -290,6 +290,8 @@ class FeatureModel:
         self.seed = seed
 
     def _recording_features(self, windows: NDArray) -> NDArray:
+        if len(windows) == 0:
+            raise ValueError("recording has no windows")
         if self.kind == "riemann":
             covs = band_cov_stack(windows, self.sfreq)  # (n_win, bands, C, C)
             return riemann_vectorize(covs).mean(axis=0)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsfnet.baselines import (HANDCRAFTED_NAMES, POWER_BAND_EDGES,
                               RIEMANN_BANDS, LogisticRegression,
                               aggregate_recording, band_cov_stack,
-                              bandpass_filterbank, handcrafted_features,
-                              handcrafted_length, impute_apply, impute_fit,
-                              riemann_length, riemann_vectorize, zscore_apply,
-                              zscore_fit)
+                              handcrafted_features, handcrafted_length,
+                              impute_apply, impute_fit, riemann_length,
+                              riemann_vectorize, zscore_apply, zscore_fit)
+from dsfnet.linalg import EIG_FLOOR, oas_shrink, sample_covariance
 
 
 def test_feature_lengths():
@@ -19,13 +21,13 @@ def test_feature_lengths():
 
 
 def test_filterbank_isolates_sinusoid():
-    # A 10 Hz tone must survive the 8-15 Hz band and vanish elsewhere.
+    # A 10 Hz tone's power must land in the 8-15 Hz band's covariance and
+    # in no other band's.
     t = np.arange(1000) / 100.0
     X = np.sin(2 * np.pi * 10.0 * t)[None, :]
-    bands = bandpass_filterbank(X, 100.0)
-    powers = [float((b**2).mean()) for b in bands]
+    powers = band_cov_stack(X, 100.0)[:, 0, 0]
     target = RIEMANN_BANDS.index((8.0, 15.0))
-    assert powers[target] == pytest.approx(0.5, rel=1e-6)
+    assert powers[target] == pytest.approx(0.5 * 1000 / 999, rel=1e-6)
     for i, p in enumerate(powers):
         if i != target:
             assert p < 1e-20
@@ -33,7 +35,65 @@ def test_filterbank_isolates_sinusoid():
 
 def test_filterbank_rejects_band_above_nyquist():
     with pytest.raises(ValueError, match="Nyquist"):
-        bandpass_filterbank(np.zeros((1, 100)), 20.0)
+        band_cov_stack(np.zeros((1, 100)), 20.0)
+
+
+def filterbank_band_covs(X, sfreq):
+    """Band covariances the long way: brick-wall band-pass every band with
+    one irfft (bands closed at both ends), then sample_covariance and
+    OAS."""
+    T = X.shape[-1]
+    spec = np.fft.rfft(X, axis=-1)[..., None, :, :]
+    freqs = np.fft.rfftfreq(T, d=1.0 / sfreq)
+    lo, hi = np.asarray(RIEMANN_BANDS).T
+    keep = (freqs >= lo[:, None]) & (freqs <= hi[:, None])
+    bands = np.fft.irfft(spec * keep[:, None, :], n=T, axis=-1)
+    return oas_shrink(sample_covariance(bands), T)
+
+
+def assert_matches_filterbank(X, sfreq):
+    got = band_cov_stack(X, sfreq)
+    ref = filterbank_band_covs(X, sfreq)
+    np.testing.assert_allclose(got, ref, rtol=0,
+                               atol=1e-12 * np.abs(ref).max())
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_win=st.integers(1, 4), C=st.integers(1, 5), T=st.integers(16, 240),
+       sfreq=st.sampled_from([98.0, 100.0, 250.0]),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 30.0]))
+def test_band_covs_match_filterbank_oracle(n_win, C, T, sfreq, seed, scale):
+    X = np.random.default_rng(seed).normal(size=(n_win, C, T)) * scale
+    assert_matches_filterbank(X, sfreq)
+
+
+@pytest.mark.parametrize("T", [200, 199])
+def test_band_covs_match_filterbank_with_band_at_nyquist(rng, T):
+    # At 98 Hz the 35-49 Hz band ends at Nyquist; an even T has that bin.
+    assert RIEMANN_BANDS[-1][1] == 98.0 / 2
+    if T % 2 == 0:
+        assert np.fft.rfftfreq(T, d=1.0 / 98.0)[-1] == 49.0
+    assert_matches_filterbank(rng.normal(size=(3, 4, T)), 98.0)
+
+
+def test_band_covs_match_filterbank_on_flat_and_duplicated_channels(rng):
+    X = rng.normal(size=(2, 4, 300)) * 20.0
+    X[0, 1] = 0.0
+    X[1, 2] = 1.5
+    X[1, 3] = X[1, 0]
+    assert_matches_filterbank(X, 100.0)
+
+
+def test_band_with_no_bin_is_the_eigenvalue_floor(rng):
+    # At T = 16 and 100 Hz the bins are 6.25 Hz apart: the 0.1-1.5 Hz band
+    # holds none.
+    covs = assert_matches_filterbank(rng.normal(size=(2, 3, 16)), 100.0)
+    empty = RIEMANN_BANDS.index((0.1, 1.5))
+    np.testing.assert_array_equal(covs[:, empty],
+                                  np.broadcast_to(EIG_FLOOR * np.eye(3),
+                                                  (2, 3, 3)))
 
 
 def test_riemann_features_shape_and_finiteness(rng):
@@ -114,6 +174,17 @@ def test_handcrafted_matches_per_channel_reference(rng):
     assert np.array_equal(got[..., ~moments], ref[..., ~moments])
     np.testing.assert_allclose(got[..., moments], ref[..., moments],
                                rtol=1e-13, atol=1e-14)
+
+
+def test_zero_crossings_skip_exact_zeros_and_nan():
+    x = np.array([[1.0, 0.0, -1.0, 0.0, 1.0, -2.0, 2.0],
+                  [1.0, -1.0, np.nan, -1.0, 1.0, 0.0, -3.0],
+                  [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    named = handcrafted_features(x, 100.0).reshape(3, -1)
+    got = named[:, HANDCRAFTED_NAMES.index("zero_crossings")]
+    ref = [reference_channel_features(ch, 100.0)[-1] for ch in x]
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(got, [2.0, 2.0, 0.0])
 
 
 def test_handcrafted_flat_channel_is_finite():

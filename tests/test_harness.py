@@ -245,6 +245,17 @@ def test_feature_model_fit_predict():
         FeatureModel("vanilla", 100.0, 2, seed=0)
 
 
+@pytest.mark.parametrize("name", ["riemann", "handcrafted", "vanilla"])
+def test_predict_recording_rejects_zero_windows(name):
+    if name == "vanilla":
+        model = DeepModel(name, 3, 128, TINY_NET, seed=0)
+    else:
+        model = FeatureModel(name, 100.0, 2, seed=0).fit(tiny_dataset(),
+                                                         "none")
+    with pytest.raises(ValueError, match="recording has no windows"):
+        model.predict_recording(np.zeros((0, 3, 128)))
+
+
 def test_cell_spec():
     cfg = ExperimentConfig(models=[("vanilla", "none")], mask_p=0.4)
     spec = _cell_spec(cfg, 0.5, RANDOM_MASK)

@@ -116,14 +116,14 @@ class DsfModule(Layer):
         W, b = self.filters_from_summary(phi, store)
         self._X = X
         self._W = W
-        return np.einsum("bvc,bct->bvt", W, X, optimize=True) + b[:, :, None]
+        return W @ X + b[:, :, None]
 
     def backward(self, dY: NDArray, store: ParamStore) -> NDArray | None:
         """Propagate dL/dY into the MLP parameters; returns dL/dX through
         the filter application only (the summary path carries no gradient),
         or None with ``input_grad`` off."""
         cfg = self.cfg
-        dW = np.einsum("bvt,bct->bvc", dY, self._X, optimize=True)
+        dW = dY @ self._X.swapaxes(-1, -2)
         db = dY.sum(axis=2)
         if cfg.thresholded:
             dW = dW * soft_threshold_subgradient(self._W_pre, cfg.tau)
@@ -132,4 +132,4 @@ class DsfModule(Layer):
         self.mlp.backward(draw, store)
         if not self.input_grad:
             return None
-        return np.einsum("bvc,bvt->bct", self._W, dY, optimize=True)
+        return self._W.swapaxes(-1, -2) @ dY

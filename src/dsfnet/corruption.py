@@ -1,9 +1,10 @@
 """Channel-corruption transform and corruption detector.
 
 The same masked convex combination of signal and Gaussian white noise
-serves as training-time data augmentation (fresh mask per window) and as
-evaluation-time corruption (one mask per recording). A spectral-slope plus
-variance detector estimates the fraction of corrupted channel-windows.
+serves as training-time augmentation (each window draws a mask) and as
+evaluation-time corruption (a recording draws one mask for all its
+windows), both through `draw_mask`. A spectral-slope plus variance
+detector flags corrupted channel-windows in one pass over the stack.
 """
 
 from dataclasses import dataclass
@@ -96,17 +97,21 @@ def augment_batch(batch: NDArray, spec: CorruptionSpec, master_seed: int,
     C = batch.shape[1]
     for i, X in enumerate(batch):
         rng = rng_for(master_seed, index_offset + i)
-        nu = sample_mask(C, spec.p, rng)
+        nu = draw_mask(C, spec, rng)
         eta, sigma = _draw_params(spec, rng)
         out[i] = corrupt_window(X, nu, eta, sigma, rng)
     return out
 
 
-def recording_mask(C: int, spec: CorruptionSpec,
-                   rng: np.random.Generator) -> NDArray:
-    """Single corruption mask shared by all windows of one recording."""
+def draw_mask(C: int, spec: CorruptionSpec,
+              rng: np.random.Generator) -> NDArray:
+    """Corruption mask over C channels: the spec's forced mask, else
+    forced_count channels without replacement, else Bernoulli(p) each."""
     if spec.forced_mask is not None:
-        return np.asarray(spec.forced_mask, dtype=np.float64)
+        nu = np.asarray(spec.forced_mask, dtype=np.float64)
+        if nu.shape != (C,):
+            raise ValueError(f"forced_mask shape {nu.shape} is not ({C},)")
+        return nu
     if spec.forced_count is not None:
         if spec.forced_count > C:
             raise ValueError(f"forced_count {spec.forced_count} exceeds C={C}")
@@ -126,7 +131,7 @@ def corrupt_recording(windows: NDArray, spec: CorruptionSpec,
     windows = np.asarray(windows, dtype=np.float64)
     if len(windows) == 0:
         raise ValueError("recording has no windows")
-    nu = recording_mask(windows.shape[1], spec, rng)
+    nu = draw_mask(windows.shape[1], spec, rng)
     out = np.empty_like(windows)
     for i, X in enumerate(windows):
         eta, sigma = _draw_params(spec, rng)
@@ -134,25 +139,24 @@ def corrupt_recording(windows: NDArray, spec: CorruptionSpec,
     return out
 
 
-def psd_slope(x: NDArray, f_lo: float, f_hi: float, sfreq: float) -> float:
-    """Log10-log10 spectral slope of a periodogram over [f_lo, f_hi].
-
-    Least-squares slope of log10(power) against log10(frequency) over the
-    in-band bins, DC excluded. Plain rectangular-window periodogram.
-    """
+def psd_slope(x: NDArray, f_lo: float, f_hi: float, sfreq: float) -> NDArray:
+    """Log10-log10 spectral slopes, shape (...), of (..., T) rectangular-
+    window periodograms: closed-form least-squares slope of log10(power)
+    against centred log10(frequency) over the bins in [f_lo, f_hi], DC
+    excluded."""
     x = np.asarray(x, dtype=np.float64)
     T = x.shape[-1]
     if T < 256:
         raise ValueError(f"need at least 256 samples, got {T}")
-    spec = np.abs(np.fft.rfft(x)) ** 2 / T
     freqs = np.fft.rfftfreq(T, d=1.0 / sfreq)
     sel = (freqs >= f_lo) & (freqs <= f_hi) & (freqs > 0)
-    if not sel.any():
-        raise ValueError(f"no frequency bins inside [{f_lo}, {f_hi}] Hz")
+    if sel.sum() < 2:
+        raise ValueError(f"a slope needs 2 or more frequency bins inside "
+                         f"[{f_lo}, {f_hi}] Hz, got {sel.sum()}")
     logf = np.log10(freqs[sel])
-    logp = np.log10(np.maximum(spec[sel], 1e-300))
-    slope, _ = np.polyfit(logf, logp, 1)
-    return float(slope)
+    logf -= logf.mean()
+    power = np.abs(np.fft.rfft(x)[..., sel]) ** 2 / T
+    return np.log10(np.maximum(power, 1e-300)) @ logf / (logf @ logf)
 
 
 def corruption_fraction(windows: list[NDArray], sfreq: float) -> float:
@@ -162,15 +166,9 @@ def corruption_fraction(windows: list[NDArray], sfreq: float) -> float:
     SLOPE_THRESH and its variance is above VAR_THRESH_UV2: flat-spectrum,
     high-power content that physiological signal does not produce.
     """
-    if not windows:
+    if len(windows) == 0:
         raise ValueError("recording has no windows")
-    flagged = 0
-    total = 0
-    for X in windows:
-        for ch in np.asarray(X, dtype=np.float64):
-            total += 1
-            if ch.var() <= VAR_THRESH_UV2:
-                continue
-            if psd_slope(ch, 0.1, 30.0, sfreq) > SLOPE_THRESH:
-                flagged += 1
-    return flagged / total
+    X = np.asarray(windows, dtype=np.float64)
+    flagged = ((X.var(axis=-1) > VAR_THRESH_UV2)
+               & (psd_slope(X, 0.1, 30.0, sfreq) > SLOPE_THRESH))
+    return float(flagged.mean())

@@ -211,7 +211,7 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
 
     n = len(X_train)
     best_loss = np.inf
-    best_params: ParamStore | None = None
+    best_params: dict[str, NDArray] | None = None
     best_epoch = -1
     train_losses: list[float] = []
     valid_losses: list[float] = []
@@ -258,14 +258,15 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
 
         if valid_loss < best_loss:
             best_loss = valid_loss
-            best_params = model.store.copy()
+            best_params = {name: model.store[name].value.copy()
+                           for name in model.store.names()}
             best_epoch = epoch
         if epoch - best_epoch >= cfg.patience:
             break
 
     if best_params is not None:
-        for name in model.store.names():
-            model.store[name].value[...] = best_params[name].value
+        for name, value in best_params.items():
+            model.store[name].value[...] = value
 
     return TrainLog(train_losses=train_losses, valid_losses=valid_losses,
                     best_epoch=best_epoch)

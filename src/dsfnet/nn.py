@@ -7,7 +7,7 @@ test suite pins every gradient.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -66,14 +66,6 @@ class ParamStore:
     def zero_grads(self) -> None:
         for p in self._params.values():
             p.grad[...] = 0.0
-
-    def copy(self) -> "ParamStore":
-        out = ParamStore()
-        for name, p in self._params.items():
-            q = out.add(name, p.value.copy())
-            q.adam_m = p.adam_m.copy()
-            q.adam_v = p.adam_v.copy()
-        return out
 
     # Binary round-trip: magic, version, entry count, then per entry the
     # name, shape and raw little-endian float64 values. Bit-exact across
@@ -419,6 +411,12 @@ def softmax_xent(
 # Optimization
 
 
+def _check_positive_ints(cfg, names) -> None:
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+
+
 @dataclass
 class TrainConfig:
     lr0: float = 1e-3
@@ -434,8 +432,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.lr0 <= 0:
             raise ValueError("lr0 must be positive")
-        if self.patience > self.max_epochs:
-            raise ValueError("patience cannot exceed max_epochs")
+        _check_positive_ints(self, ("max_epochs", "batch_size", "t_max"))
+        if not 0 <= self.patience <= self.max_epochs:
+            raise ValueError(f"patience must be in [0, max_epochs], got "
+                             f"{self.patience}")
 
 
 def adamw_step(store: ParamStore, lr: float, config: TrainConfig, t: int) -> None:
@@ -469,6 +469,13 @@ class ShallowNetConfig:
     pool_width: int = 75
     pool_stride: int = 15
     dropout_rate: float = 0.5
+
+    def __post_init__(self) -> None:
+        _check_positive_ints(self, [f.name for f in fields(self)
+                                    if f.type is int])
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got "
+                             f"{self.dropout_rate}")
 
 
 class ShallowNet(Sequential):

@@ -199,6 +199,18 @@ def test_bad_config_fails_in_one_line(tmp_path, section, line, capsys):
     assert err[0].endswith(f" in [{section}]")
 
 
+def test_train_rejects_bad_net_config_in_one_line(tmp_path, cfg_path,
+                                                  dataset_path, capsys):
+    path = tmp_path / "bad_net.cfg"
+    path.write_text(Path(cfg_path()).read_text() + "[net]\npool_stride = 0\n")
+    out = tmp_path / "params.bin"
+    assert main(["train", "--config", str(path), "--dataset", dataset_path,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: pool_stride must be >= 1, got 0 in [net]"]
+    assert not out.exists()
+
+
 def test_missing_config_fails_in_one_line(tmp_path, capsys):
     path = tmp_path / "missing.cfg"
     assert main(["gen", "--config", str(path), "--seed", "1",

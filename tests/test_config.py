@@ -129,6 +129,15 @@ def test_every_field_but_the_nested_configs_has_a_parser():
     ("sweep", "sigma_range_uv = 5"),     # a pair takes two values
     ("sweep", "sigma_range_uv = 50, 20"),
     ("data", "class_freqs = 10"),
+    ("train", "batch_size = -1"),
+    ("train", "max_epochs = 0\npatience = 0"),
+    ("train", "t_max = 0"),
+    ("train", "patience = -1"),
+    ("net", "pool_stride = 0"),
+    ("net", "temporal_kernel = 0"),
+    ("net", "n_spatial_filters = -2"),
+    ("net", "dropout_rate = 1.0"),
+    ("net", "dropout_rate = -0.1"),
 ])
 def test_bad_value_names_file_and_section(tmp_path, section, line):
     path = write(tmp_path, f"[{section}]\n{line}\n")

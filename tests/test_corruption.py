@@ -3,8 +3,8 @@ import pytest
 
 from dsfnet.corruption import (CorruptionSpec, augment_batch,
                                corrupt_recording, corrupt_window,
-                               corruption_fraction, psd_slope, recording_mask,
-                               sample_mask)
+                               corruption_fraction, draw_mask, psd_slope,
+                               sample_mask, _draw_params)
 from dsfnet.seeding import rng_for
 
 
@@ -96,10 +96,10 @@ def test_augment_batch_requires_per_window_scope(rng):
 def test_recording_mask_forced_count(rng):
     spec = CorruptionSpec(forced_count=3, scope="per_recording")
     for _ in range(50):
-        nu = recording_mask(6, spec, rng)
+        nu = draw_mask(6, spec, rng)
         assert nu.sum() == 3.0
     with pytest.raises(ValueError, match="exceeds"):
-        recording_mask(2, spec, rng)
+        draw_mask(2, spec, rng)
 
 
 def test_spec_rejects_negative_forced_count():
@@ -111,7 +111,48 @@ def test_spec_rejects_negative_forced_count():
 def test_recording_mask_forced_mask(rng):
     forced = np.array([1.0, 0.0, 1.0])
     spec = CorruptionSpec(forced_mask=forced, scope="per_recording")
-    np.testing.assert_array_equal(recording_mask(3, spec, rng), forced)
+    np.testing.assert_array_equal(draw_mask(3, spec, rng), forced)
+
+
+def test_draw_mask_rejects_forced_mask_of_wrong_shape(rng):
+    spec = CorruptionSpec(forced_mask=np.ones(3), scope="per_recording")
+    with pytest.raises(ValueError, match=r"shape \(3,\) is not \(6,\)"):
+        draw_mask(6, spec, rng)
+    with pytest.raises(ValueError, match="shape"):
+        corrupt_recording(np.zeros((2, 6, 300)), spec, rng)
+
+
+def _corrupted_channels(before, after):
+    return np.any(before != after, axis=-1)
+
+
+def test_augment_batch_honours_forced_count_and_mask():
+    rng = np.random.default_rng(8)
+    batch = rng.normal(size=(200, 6, 300))
+    out = augment_batch(batch, CorruptionSpec(forced_count=2), master_seed=9)
+    hit = _corrupted_channels(batch, out)
+    np.testing.assert_array_equal(hit.sum(axis=1), np.full(200, 2))
+    assert hit.any(axis=0).all()  # each window draws its own channels
+    forced = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+    out = augment_batch(batch, CorruptionSpec(forced_mask=forced), 9)
+    np.testing.assert_array_equal(_corrupted_channels(batch, out),
+                                  np.broadcast_to(forced > 0, (200, 6)))
+
+
+def test_augment_batch_default_spec_matches_per_window_reference():
+    # Guard: the default spec draws mask, eta, sigma and Z per window in
+    # the same order as a sample_mask + _draw_params + corrupt_window loop.
+    rng = np.random.default_rng(10)
+    batch = rng.normal(size=(16, 5, 300))
+    spec = CorruptionSpec()
+    want = np.empty_like(batch)
+    for i, X in enumerate(batch):
+        wrng = rng_for(11, 3 + i)
+        nu = sample_mask(5, spec.p, wrng)
+        eta, sigma = _draw_params(spec, wrng)
+        want[i] = corrupt_window(X, nu, eta, sigma, wrng)
+    got = augment_batch(batch, spec, master_seed=11, index_offset=3)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_corrupt_recording_shares_one_mask():
@@ -121,7 +162,7 @@ def test_corrupt_recording_shares_one_mask():
     out = corrupt_recording(windows, spec, rng_for(0, 7))
     assert out.shape == windows.shape
     # Re-derive the mask the function drew.
-    nu = recording_mask(5, spec, rng_for(0, 7))
+    nu = draw_mask(5, spec, rng_for(0, 7))
     for Xin, Xout in zip(windows, out):
         for ch in range(5):
             if nu[ch] == 0.0:
@@ -171,6 +212,27 @@ def test_psd_slope_validation(rng):
         psd_slope(np.zeros(100), 0.1, 30.0, 100.0)
     with pytest.raises(ValueError, match="bins"):
         psd_slope(rng.normal(size=1000), 45.01, 45.02, 100.0)
+    # 1000 samples at 100 Hz: bins every 0.1 Hz, one of them near 10 Hz.
+    with pytest.raises(ValueError, match="2 or more frequency bins.*got 1"):
+        psd_slope(rng.normal(size=(2, 1000)), 9.95, 10.05, 100.0)
+
+
+@pytest.mark.parametrize("T", [600, 777])
+def test_psd_slope_on_stacks_matches_polyfit(T):
+    # Guard: the closed-form slope of every channel of an (n, C, T) stack
+    # equals a per-channel np.polyfit fit.
+    rng = np.random.default_rng(T)
+    X = rng.normal(size=(5, 3, T)) * rng.uniform(1.0, 50.0, size=(5, 3, 1))
+    X[0, 1] = np.cumsum(X[0, 1])  # a steep spectrum too
+    slopes = psd_slope(X, 0.1, 30.0, 100.0)
+    assert slopes.shape == (5, 3)
+    freqs = np.fft.rfftfreq(T, d=1.0 / 100.0)
+    sel = (freqs >= 0.1) & (freqs <= 30.0) & (freqs > 0)
+    for idx in np.ndindex(5, 3):
+        power = np.abs(np.fft.rfft(X[idx])) ** 2 / T
+        want = np.polyfit(np.log10(freqs[sel]),
+                          np.log10(np.maximum(power[sel], 1e-300)), 1)[0]
+        assert abs(slopes[idx] - want) <= 1e-12
 
 
 def test_corruption_fraction_counts_noised_channels():

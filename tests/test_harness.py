@@ -231,6 +231,24 @@ def test_early_stopping_restores_best_parameters():
     assert log.best_epoch == int(np.argmin(log.valid_losses))
 
 
+def test_early_stopping_restores_the_best_epochs_values_exactly():
+    # At seed 6 the first epoch has the lowest validation loss, so four
+    # epochs must end on the parameters that one epoch leaves.
+    ds = tiny_dataset()
+    params = []
+    for max_epochs in (4, 1):
+        model = DeepModel("vanilla", 3, 128, TINY_NET, seed=6)
+        log = train_deep_model(model, ds,
+                               TrainConfig(max_epochs=max_epochs, patience=1,
+                                           t_max=4, batch_size=16),
+                               "none", seed=6)
+        assert log.best_epoch == 0
+        params.append([model.store[n].value for n in model.store.names()])
+    assert len(log.valid_losses) == 1
+    for got, want in zip(*params):
+        np.testing.assert_array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # Feature models, cells and the sweep
 

@@ -114,14 +114,6 @@ def test_param_store_load_rejects_bad_magic(tmp_path):
         ParamStore.load(str(path))
 
 
-def test_param_store_copy_is_independent(rng):
-    store = ParamStore()
-    store.add("w", rng.normal(size=3))
-    other = store.copy()
-    other["w"].value[...] = 0.0
-    assert not np.array_equal(store["w"].value, other["w"].value)
-
-
 def test_he_uniform_bounds(rng):
     w = he_uniform_init((2000,), fan_in=24, rng=rng)
     bound = np.sqrt(6.0 / 24)

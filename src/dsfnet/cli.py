@@ -12,10 +12,11 @@ import sys
 
 import numpy as np
 
+from .binio import write_csv
 from .config import load_experiment_config
 from .harness import (DSF_MODELS, RANDOM_MASK, ExperimentConfig,
                       FeatureModel, _cell_spec, inspect_filters, run_sweep,
-                      train_model_unit, write_csv_atomic)
+                      train_model_unit)
 from .linalg import matrix_log_eig, matrix_log_taylor, oas_shrink, \
     sample_covariance
 from .synth import SynthConfig, generate_dataset, load_dataset, \
@@ -115,13 +116,16 @@ def taylor_error_curve(windows, n_terms_grid):
 def cmd_taylor_bench(args) -> int:
     if args.n_windows < 1:
         raise ValueError(f"--n-windows must be >= 1, got {args.n_windows}")
+    terms = args.terms.split(",")
+    if not all(t.strip().isdecimal() and int(t) >= 1 for t in terms):
+        raise ValueError(f"--terms must be integers >= 1, got {args.terms!r}")
     data_cfg, _ = _load_configs(args)
     ds = generate_dataset(data_cfg, args.seed)
     windows = np.concatenate([r.windows for r in ds.recordings])
-    grid = sorted(set(int(n) for n in args.terms.split(",")))
-    curve = taylor_error_curve(windows[:args.n_windows], grid)
-    write_csv_atomic(args.out, [("n_terms", "median_rel_error",
-                                 "mean_rel_error", "std_rel_error"), *curve])
+    curve = taylor_error_curve(windows[:args.n_windows],
+                               sorted({int(t) for t in terms}))
+    write_csv(args.out, [("n_terms", "median_rel_error", "mean_rel_error",
+                          "std_rel_error"), *curve])
     for n, med, mean, std in curve:
         print(f"n={n:3d}  median {med:.4f}  mean {mean:.4f}  std {std:.4f}")
     return 0

@@ -8,13 +8,10 @@ regression. The sweep corrupts test recordings cell by cell on an
 row per cell, seed and model unit.
 """
 
-import csv
 import itertools
 import multiprocessing as mp
-import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -24,6 +21,7 @@ from .baselines import (LogisticRegression, aggregate_recording,
                         band_cov_stack, handcrafted_features, impute_apply,
                         impute_fit, riemann_vectorize, zscore_apply,
                         zscore_fit)
+from .binio import write_csv
 from .corruption import CorruptionSpec, augment_batch, corrupt_recording
 from .interp import INTERP_KINDS, InterpModule
 from .nn import (ParamStore, ShallowNet, ShallowNetConfig, TrainConfig,
@@ -35,9 +33,6 @@ DSF_MODELS = VARIANTS
 DEEP_MODELS = ("vanilla",) + VARIANTS + INTERP_KINDS
 FEATURE_MODELS = ("riemann", "handcrafted")
 MODEL_NAMES = DEEP_MODELS + FEATURE_MODELS
-
-RESULT_HEADER = ("seed", "split_id", "model", "denoise", "eta",
-                 "n_corrupted", "c_prime", "metric", "value")
 
 RANDOM_MASK = -1  # count-grid sentinel: Bernoulli(p) mask instead of a
                   # forced corrupted-channel count
@@ -54,6 +49,9 @@ class ResultRow:
     c_prime: int
     metric: str
     value: float
+
+
+RESULT_HEADER = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass
@@ -94,6 +92,8 @@ class ExperimentConfig:
             raise ValueError("sigma_range_uv must satisfy 0 < lo <= hi")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric: {self.metric!r}")
+        if not self.dsf_tau >= 0.0:
+            raise ValueError(f"dsf_tau must be >= 0, got {self.dsf_tau}")
 
 
 # ---------------------------------------------------------------------------
@@ -444,31 +444,9 @@ def run_sweep(cfg: ExperimentConfig, dataset: Dataset, out_path: str,
     rows = sorted(itertools.chain.from_iterable(per_unit),
                   key=lambda r: (r.model, r.denoise, r.seed, r.eta,
                                  r.n_corrupted, r.c_prime))
-    write_results_csv(rows, out_path)
+    # csv writes floats with repr, so every value reloads bit-exact.
+    write_csv(out_path, [RESULT_HEADER, *map(astuple, rows)])
     return rows
-
-
-def write_csv_atomic(path: str, rows) -> None:
-    """Write CSV rows to a temp file in the target directory, then rename
-    it into place. On any error the temp file is removed and the target is
-    left as it was."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".csv.tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as f:
-            csv.writer(f).writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_results_csv(rows: list[ResultRow], out_path: str) -> None:
-    write_csv_atomic(out_path, [RESULT_HEADER] + [
-        [r.seed, r.split_id, r.model, r.denoise, repr(r.eta), r.n_corrupted,
-         r.c_prime, r.metric, repr(r.value)] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +477,7 @@ def inspect_filters(model: DeepModel, recordings: list[Recording],
     summary = {ch: tuple(float(q) for q in quartiles[:, ch])
                for ch in range(phi.shape[1])}
     if dump_path is not None:
-        write_csv_atomic(dump_path, (
-            [i] + [repr(float(v)) for v in row]
-            for i, row in enumerate(np.concatenate(
-                [W.reshape(len(W), -1), b, phi], axis=1))))
+        write_csv(dump_path, (
+            [i, *row] for i, row in enumerate(np.concatenate(
+                [W.reshape(len(W), -1), b, phi], axis=1).tolist())))
     return (W, b, phi), summary

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from numpy.typing import NDArray
 
-from .binio import (expect_end, read_exact, read_float64, read_shape,
-                    unpack_exact)
+from .binio import (atomic_write, expect_end, read_exact, read_float64,
+                    read_header, read_shape, unpack_exact, write_header)
 
 LOG_FLOOR = 1e-6
 MAGIC = b"DSF1"
@@ -71,36 +71,32 @@ class ParamStore:
     # name, shape and raw little-endian float64 values. Bit-exact across
     # runs on the same platform.
     def save(self, path: str) -> None:
-        with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", FORMAT_VERSION))
+        with atomic_write(path) as f:
+            write_header(f, MAGIC, FORMAT_VERSION)
             f.write(struct.pack("<I", len(self._params)))
             for name in sorted(self._params):
                 value = self._params[name].value
                 encoded = name.encode("utf-8")
-                f.write(struct.pack("<I", len(encoded)))
-                f.write(encoded)
-                f.write(struct.pack("<Q", value.ndim))
-                for dim in value.shape:
-                    f.write(struct.pack("<Q", dim))
+                f.write(struct.pack("<I", len(encoded)) + encoded)
+                f.write(struct.pack(f"<{value.ndim + 1}Q", value.ndim,
+                                    *value.shape))
                 f.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
 
     @classmethod
     def load(cls, path: str) -> "ParamStore":
         store = cls()
         with open(path, "rb") as f:
-            if f.read(4) != MAGIC:
-                raise ValueError(f"{path}: bad magic, not a parameter file")
-            (version,) = unpack_exact(f, "<I", path)
-            if version != FORMAT_VERSION:
-                raise ValueError(f"{path}: unsupported version {version}")
+            read_header(f, MAGIC, (FORMAT_VERSION,), "parameter", path)
             (count,) = unpack_exact(f, "<I", path)
             for _ in range(count):
                 (name_len,) = unpack_exact(f, "<I", path)
-                name = read_exact(f, name_len, path).decode("utf-8")
+                name = read_exact(f, name_len, path)
                 (rank,) = unpack_exact(f, "<Q", path)
-                shape = read_shape(f, rank, path)
-                store.add(name, read_float64(f, shape, path))
+                value = read_float64(f, read_shape(f, rank, path), path)
+                try:  # a name that is not UTF-8, or that repeats
+                    store.add(name.decode("utf-8"), value)
+                except ValueError as e:
+                    raise ValueError(f"{path}: bad parameter name: {e}") from e
             expect_end(f, path)
         return store
 

@@ -8,17 +8,22 @@ so that the 20-50 uV corruption regime is genuinely destructive.
 """
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .binio import expect_end, read_exact, read_float64, unpack_exact
+from .binio import (atomic_write, expect_end, read_exact, read_float64,
+                    read_header, unpack_exact, write_header)
+from .nn import _check_positive_ints
 from .seeding import rng_for
 
 MAGIC = b"DSFD"
 FORMAT_VERSION = 2  # version 1 files (fixed C, T, sfreq header) still load
+RECORD = "<QBBI"  # per recording: id, label, split tag, window count
+SPLIT_TAGS = ("", "train", "valid", "test")  # split tag byte -> tag
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,13 @@ class SynthConfig:
                              f"{self.n_channels}")
         if self.n_times < 128:
             raise ValueError("need at least 128 samples per window")
+        if not 0.0 < self.sfreq < math.inf:
+            raise ValueError(f"sfreq must be finite and > 0, got {self.sfreq}")
+        _check_positive_ints(self, ("n_recordings", "windows_per_recording"))
+        for name in ("background_std_uv", "sensor_noise_std_uv"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got "
+                                 f"{getattr(self, name)}")
         if not 1 <= self.n_classes <= 3:
             raise ValueError(f"n_classes must be 1, 2 or 3 (one per boosted "
                              f"source), got {self.n_classes}")
@@ -160,28 +172,29 @@ def split_dataset(ds: Dataset, fractions: tuple[float, float, float],
 def save_dataset(ds: Dataset, path: str) -> None:
     """Binary dataset file; see load_dataset for the layout."""
     config = json.dumps(asdict(ds.config)).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", FORMAT_VERSION, len(config)))
-        f.write(config)
+    with atomic_write(path) as f:
+        write_header(f, MAGIC, FORMAT_VERSION)
+        f.write(struct.pack("<I", len(config)) + config)
         f.write(struct.pack("<I", len(ds.recordings)))
         for rec in ds.recordings:
-            f.write(struct.pack("<Q", rec.id))
-            f.write(struct.pack("<B", rec.label))
             tag = ds.splits.get(rec.id, "")
-            f.write(struct.pack("<B", {"": 0, "train": 1, "valid": 2,
-                                       "test": 3}[tag]))
-            f.write(struct.pack("<I", len(rec.windows)))
+            if tag not in SPLIT_TAGS:
+                raise ValueError(f"recording {rec.id}: unknown split tag "
+                                 f"{tag!r}")
+            f.write(struct.pack(RECORD, rec.id, rec.label,
+                                SPLIT_TAGS.index(tag), len(rec.windows)))
             f.write(np.ascontiguousarray(rec.windows, dtype="<f8").tobytes())
 
 
-def _read_config(f, path: str) -> SynthConfig:
-    (n,) = unpack_exact(f, "<I", path)
-    raw = read_exact(f, n, path)
+def _config(raw: bytes | str, path: str) -> SynthConfig:
+    """SynthConfig from its fields as JSON; the rest take their defaults."""
     try:
-        fields = json.loads(raw.decode("utf-8"))
-        return SynthConfig(**{k: tuple(v) if isinstance(v, list) else v
-                              for k, v in fields.items()})
+        fields = {k: tuple(v) if isinstance(v, list) else v
+                  for k, v in json.loads(raw).items()}
+        for k, v in fields.items():  # a float C or T cannot shape windows
+            if type(getattr(SynthConfig, k, v)) is int and type(v) is not int:
+                raise TypeError(f"{k} must be an int, got {v!r}")
+        return SynthConfig(**fields)
     except (AttributeError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: bad dataset config: {e}") from e
 
@@ -189,29 +202,26 @@ def _read_config(f, path: str) -> SynthConfig:
 def load_dataset(path: str) -> Dataset:
     """Read a save_dataset file: magic, version, the SynthConfig as a u32
     length and its UTF-8 JSON (version 1: C, T, sfreq), the recording
-    count, then per recording (id, label, split tag, window count) and its
-    little-endian float64 windows. Every length is checked exactly. A
-    version 1 file takes its class count from its labels (max + 1)."""
-    tags = {0: "", 1: "train", 2: "valid", 3: "test"}
+    count, then per recording a RECORD and its little-endian float64
+    windows. Every length is checked exactly. A version 1 file takes its
+    class count from its labels (max + 1)."""
     with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise ValueError(f"{path}: bad magic, not a dataset file")
-        (version,) = unpack_exact(f, "<I", path)
+        version = read_header(f, MAGIC, (1, FORMAT_VERSION), "dataset", path)
         if version == 1:
             C, T, sfreq, n_rec = unpack_exact(f, "<IIdI", path)
-            cfg = SynthConfig(n_channels=C, n_times=T, sfreq=sfreq,
-                              n_recordings=n_rec)
-        elif version == FORMAT_VERSION:
-            cfg = _read_config(f, path)
-            (n_rec,) = unpack_exact(f, "<I", path)
+            cfg = _config(json.dumps(dict(n_channels=C, n_times=T,
+                                          sfreq=sfreq, n_recordings=n_rec)),
+                          path)
         else:
-            raise ValueError(f"{path}: unsupported version {version}")
+            (n,) = unpack_exact(f, "<I", path)
+            cfg = _config(read_exact(f, n, path), path)
+            (n_rec,) = unpack_exact(f, "<I", path)
         recordings = []
         splits: dict[int, str] = {}
         for _ in range(n_rec):
             tag_offset = f.tell() + struct.calcsize("<QB")
-            rec_id, label, tag_code, n_win = unpack_exact(f, "<QBBI", path)
-            if tag_code not in tags:
+            rec_id, label, tag_code, n_win = unpack_exact(f, RECORD, path)
+            if tag_code >= len(SPLIT_TAGS):
                 raise ValueError(f"{path}: unknown split tag {tag_code} at "
                                  f"byte offset {tag_offset}")
             if version == FORMAT_VERSION and label >= cfg.n_classes:
@@ -222,8 +232,8 @@ def load_dataset(path: str) -> Dataset:
                 f, (n_win, cfg.n_channels, cfg.n_times), path)
             recordings.append(Recording(id=rec_id, label=label,
                                         windows=windows))
-            if tags[tag_code]:
-                splits[rec_id] = tags[tag_code]
+            if SPLIT_TAGS[tag_code]:
+                splits[rec_id] = SPLIT_TAGS[tag_code]
         expect_end(f, path)
     if version == 1 and recordings:
         try:

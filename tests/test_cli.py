@@ -187,6 +187,11 @@ def test_inspect_rejects_bad_corruption_in_one_line(tmp_path, cfg_path,
     ("data", "n_channels = 2"),
     ("data", "n_times = abc"),
     ("sweep", "eta_grid = 2.0"),
+    ("data", "sfreq = 0"),
+    ("data", "sfreq = -100"),
+    ("data", "n_recordings = 0"),
+    ("data", "windows_per_recording = 0"),
+    ("data", "sensor_noise_std_uv = -1"),
 ])
 def test_bad_config_fails_in_one_line(tmp_path, section, line, capsys):
     path = tmp_path / "bad.cfg"
@@ -208,6 +213,22 @@ def test_train_rejects_bad_net_config_in_one_line(tmp_path, cfg_path,
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {path}: pool_stride must be >= 1, got 0 in [net]"]
+    assert not out.exists()
+
+
+def test_train_rejects_negative_dsf_tau_before_loading_data(
+        tmp_path, cfg_path, dataset_path, capsys, monkeypatch):
+    def no_loading(path):
+        raise AssertionError("loaded the dataset")
+    monkeypatch.setattr(dsfnet.cli, "load_dataset", no_loading)
+    path = tmp_path / "bad_tau.cfg"
+    path.write_text(Path(cfg_path("dsfm_st:none")).read_text()
+                    + "dsf_tau = -1\n")
+    out = tmp_path / "params.bin"
+    assert main(["train", "--config", str(path), "--dataset", dataset_path,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: dsf_tau must be >= 0, got -1.0 in [sweep]"]
     assert not out.exists()
 
 
@@ -284,6 +305,20 @@ def test_taylor_bench_rejects_n_windows_below_one(tmp_path, cfg_path, capsys,
                  "--out", str(out), "--n-windows", n_windows]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: --n-windows must be >= 1, got {n_windows}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("terms", ["0", "5,-1", "5,x", "2.5", ""])
+def test_taylor_bench_rejects_bad_terms_in_one_line(tmp_path, cfg_path, capsys,
+                                                    monkeypatch, terms):
+    def no_generation(*args, **kwargs):
+        raise AssertionError("generated a dataset")
+    monkeypatch.setattr(dsfnet.cli, "generate_dataset", no_generation)
+    out = tmp_path / "taylor.csv"
+    assert main(["taylor-bench", "--config", cfg_path(), "--seed", "0",
+                 "--out", str(out), "--terms", terms]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --terms must be integers >= 1, got {terms!r}"]
     assert not out.exists()
 
 

@@ -3,6 +3,8 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsfnet.config import (PARSERS, ConfigError, load_experiment_config,
                            parse_config_text)
@@ -51,6 +53,21 @@ def test_parse_errors():
         parse_config_text("[a]\njust some words\n")
     with pytest.raises(ConfigError, match="empty section"):
         parse_config_text("[ ]\n")
+
+
+CONFIG_LINES = st.one_of(
+    st.text(),
+    st.sampled_from(["[", "]", "[]", "[data]", "=", "x = 1", "x=", "# c",
+                     " [a] ", "\r", "\x0b", "\u2028"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(CONFIG_LINES, max_size=8))
+def test_parse_config_text_raises_only_config_errors(lines):
+    try:
+        parse_config_text("\n".join(lines))
+    except ConfigError:
+        pass
 
 
 def write(tmp_path, text):
@@ -138,6 +155,15 @@ def test_every_field_but_the_nested_configs_has_a_parser():
     ("net", "n_spatial_filters = -2"),
     ("net", "dropout_rate = 1.0"),
     ("net", "dropout_rate = -0.1"),
+    ("sweep", "dsf_tau = -1"),
+    ("data", "sfreq = 0"),
+    ("data", "sfreq = -100"),
+    ("data", "sfreq = inf"),
+    ("data", "sfreq = nan"),
+    ("data", "n_recordings = 0"),
+    ("data", "windows_per_recording = 0"),
+    ("data", "background_std_uv = -1"),
+    ("data", "sensor_noise_std_uv = -1"),
 ])
 def test_bad_value_names_file_and_section(tmp_path, section, line):
     path = write(tmp_path, f"[{section}]\n{line}\n")

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dsfnet.linalg import (DegenerateInputError, NotPSDError, matrix_exp_eig,
                            matrix_log_eig, matrix_log_taylor, oas_shrink,
@@ -63,6 +66,24 @@ def test_oas_identity_is_fixed_point():
 def test_oas_zero_trace_degenerate():
     out = oas_shrink(np.zeros((3, 3)), 10)
     np.testing.assert_array_equal(out, 1e-12 * np.eye(3))
+    assert np.all(np.linalg.eigvalsh(out) > 0)
+
+
+WINDOW_STACKS = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(2, 12)),
+    elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(X=WINDOW_STACKS)
+def test_oas_of_any_finite_covariance_is_spd(X):
+    # Entries past ~1e154 overflow tr(S^2); OAS then shrinks fully.
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = sample_covariance(X)
+        assume(np.all(np.isfinite(S)))
+        out = oas_shrink(S, X.shape[-1])
+    assert np.array_equal(out, np.swapaxes(out, -1, -2))
     assert np.all(np.linalg.eigvalsh(out) > 0)
 
 

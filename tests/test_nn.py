@@ -107,6 +107,28 @@ def test_param_store_load_rejects_trailing_bytes(tmp_path, param_bytes):
         ParamStore.load(str(path))
 
 
+def test_param_store_load_rejects_name_that_is_not_utf8(tmp_path,
+                                                       param_bytes):
+    # The first name, "layer.W", starts after magic, version, count and
+    # its length.
+    path = tmp_path / "badname.bin"
+    path.write_bytes(param_bytes[:16] + b"\xff" + param_bytes[17:])
+    where = re.escape(str(path))
+    with pytest.raises(ValueError, match=f"^{where}: bad parameter name: "):
+        ParamStore.load(str(path))
+
+
+def test_param_store_load_rejects_repeated_name(tmp_path, param_bytes):
+    # Rename the second entry, "layer.b", to the first, "layer.W".
+    at = param_bytes.index(b"layer.b")
+    path = tmp_path / "dupname.bin"
+    path.write_bytes(param_bytes[:at] + b"layer.W" + param_bytes[at + 7:])
+    where = re.escape(str(path))
+    with pytest.raises(ValueError, match=f"^{where}: bad parameter name: "
+                                         f"duplicate parameter name"):
+        ParamStore.load(str(path))
+
+
 def test_param_store_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -21,6 +21,18 @@ def test_config_validation():
         SynthConfig(n_times=64)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("sfreq", 0.0), ("sfreq", -100.0), ("sfreq", float("inf")),
+    ("sfreq", float("nan")),
+    ("n_recordings", 0), ("windows_per_recording", 0),
+    ("background_std_uv", -1.0), ("sensor_noise_std_uv", -1.0),
+    ("sensor_noise_std_uv", float("nan")),
+])
+def test_config_rejects_values_that_break_generation(field, value):
+    with pytest.raises(ValueError, match=field):
+        SynthConfig(**{field: value})
+
+
 @pytest.mark.parametrize("n_channels", [1, 2])
 def test_config_rejects_fewer_channels_than_sources(n_channels):
     # Three sources need three channels for a full-rank mixing matrix.
@@ -180,11 +192,29 @@ def test_load_version_1_file_takes_class_count_from_labels(tmp_path):
         load_dataset(str(path))
 
 
+@pytest.mark.parametrize("C,T,sfreq,field", [
+    (2, 128, 100.0, "n_channels"),
+    (3, 64, 100.0, "128 samples"),
+    (3, 128, 0.0, "sfreq"),
+    (3, 128, float("nan"), "sfreq"),
+])
+def test_load_version_1_rejects_bad_header(tmp_path, dataset_bytes, C, T,
+                                           sfreq, field):
+    path = tmp_path / "v1.bin"
+    path.write_bytes(dataset_bytes[:4] + struct.pack("<IIId", 1, C, T, sfreq)
+                     + dataset_bytes[count_offset(dataset_bytes):])
+    where = re.escape(str(path))
+    with pytest.raises(ValueError,
+                       match=f"^{where}: bad dataset config: .*{field}"):
+        load_dataset(str(path))
+
+
 @pytest.mark.parametrize("change", [
     lambda fields: b"{not json",
     lambda fields: json.dumps({**fields, "bogus": 1}).encode(),
     lambda fields: json.dumps({**fields, "n_classes": 4}).encode(),
-], ids=["malformed", "unknown_field", "failed_check"])
+    lambda fields: json.dumps({**fields, "n_times": 1e8}).encode(),
+], ids=["malformed", "unknown_field", "failed_check", "float_shape"])
 def test_load_rejects_bad_config(tmp_path, dataset_bytes, change):
     config = change(dataclasses.asdict(TINY))
     path = tmp_path / "badcfg.bin"

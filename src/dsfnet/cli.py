@@ -1,10 +1,10 @@
 """Command-line harness.
 
-Subcommands: `gen` writes a synthetic dataset file, `train` trains a
-single model unit and saves its parameters, `sweep` runs the corruption
-robustness sweep and writes a results CSV, `inspect` dumps the per-window
-filters of a trained DSF model, and `taylor-bench` emits the truncated-
-series matrix-log error curve as CSV.
+Subcommands: `gen` writes a synthetic dataset file, `train` trains the
+sweep's first model unit and saves its parameters, `sweep` runs the
+corruption robustness sweep and writes a results CSV, `inspect` dumps the
+per-window filters of that first unit (a DSF model), and `taylor-bench`
+emits the truncated-series matrix-log error curve as CSV.
 """
 
 import argparse
@@ -16,7 +16,7 @@ from .binio import write_csv
 from .config import load_experiment_config
 from .harness import (DSF_MODELS, RANDOM_MASK, ExperimentConfig,
                       FeatureModel, _cell_spec, inspect_filters, run_sweep,
-                      train_model_unit)
+                      sweep_units, train_model_unit)
 from .linalg import matrix_log_eig, matrix_log_taylor, oas_shrink, \
     sample_covariance
 from .synth import SynthConfig, generate_dataset, load_dataset, \
@@ -48,11 +48,15 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _first_unit(args):
     _, sweep_cfg = _load_configs(args)
-    ds = load_dataset(args.dataset)
-    name, denoise = sweep_cfg.models[0]
-    model, log = train_model_unit(sweep_cfg, ds, name, denoise, args.seed)
+    return sweep_cfg, load_dataset(args.dataset), sweep_units(sweep_cfg)[0]
+
+
+def cmd_train(args) -> int:
+    sweep_cfg, ds, unit = _first_unit(args)
+    name, denoise, _, _ = unit
+    model, log = train_model_unit(sweep_cfg, ds, *unit)
     if isinstance(model, FeatureModel):
         print(f"trained feature model {name} ({denoise})", file=sys.stderr)
         print("feature models have no parameter file; nothing written")
@@ -74,22 +78,21 @@ def cmd_sweep(args) -> int:
 def cmd_inspect(args) -> int:
     if not 0.0 <= args.eta <= 1.0:
         raise ValueError(f"--eta must be in [0, 1], got {args.eta}")
-    _, sweep_cfg = _load_configs(args)
-    ds = load_dataset(args.dataset)
+    sweep_cfg, ds, unit = _first_unit(args)
     C = ds.config.n_channels
     if args.n_corrupted is not None and not 0 <= args.n_corrupted <= C:
         raise ValueError(f"--n-corrupted must be in [0, {C}] for a "
                          f"{C}-channel dataset, got {args.n_corrupted}")
-    name, denoise = sweep_cfg.models[0]
+    name, _, seed, _ = unit
     if name not in DSF_MODELS:
         raise ValueError(f"{name!r} is not a DSF-family model")
-    model, _ = train_model_unit(sweep_cfg, ds, name, denoise, args.seed)
+    model, _ = train_model_unit(sweep_cfg, ds, *unit)
     spec = None
     if args.eta > 0:
         spec = _cell_spec(sweep_cfg, args.eta,
                           RANDOM_MASK if args.n_corrupted is None
                           else args.n_corrupted)
-    _, summary = inspect_filters(model, ds.split("test"), spec, args.seed,
+    _, summary = inspect_filters(model, ds.split("test"), spec, seed,
                                  dump_path=args.out)
     for ch, (q25, med, q75) in summary.items():
         print(f"channel {ch}: phi median {med:.4f} (q25 {q25:.4f}, "

@@ -1,11 +1,11 @@
 """Training loop, corruption-sweep evaluation and result persistence.
 
-A "model unit" is a (model name, denoising strategy) pair. Deep models are
-a ShallowNet classifier optionally fronted by a DSF or interpolation
-module; feature models aggregate recording-level features into a logistic
-regression. The sweep corrupts test recordings cell by cell on an
-(eta, corrupted-count) grid with per-recording masks and writes one CSV
-row per cell, seed and model unit.
+A "model unit" is a (model, denoise, seed, C') tuple (`sweep_units`). Deep
+models are a ShallowNet classifier optionally fronted by a DSF or
+interpolation module; feature models aggregate recording-level features
+into a logistic regression. The sweep corrupts test recordings cell by cell
+on an (eta, corrupted-count) grid with per-recording masks and writes one
+CSV row per cell and model unit.
 """
 
 import itertools
@@ -77,6 +77,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown model: {name!r}")
             if denoise not in ("none", "augmentation"):
                 raise ValueError(f"unknown denoise strategy: {denoise!r}")
+        for name in ("models", "eta_grid", "count_grid", "c_prime_grid"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ValueError(f"{name} repeats an entry")
         if any(not 0.0 <= e <= 1.0 for e in self.eta_grid):
             raise ValueError("eta grid must lie inside [0, 1]")
         if any(n < RANDOM_MASK for n in self.count_grid):
@@ -346,6 +349,20 @@ def _cell_spec(cfg: ExperimentConfig, eta: float,
                           scope="per_recording", forced_count=forced)
 
 
+def sweep_units(cfg: ExperimentConfig) -> list[tuple]:
+    """Every (name, denoise, seed, c_prime) unit, in sweep order; replicate
+    k is seeded derive_seed(master_seed, 100 + k), and c_prime None is C."""
+    return [(name, denoise, derive_seed(cfg.master_seed, 100 + k), c_prime)
+            for name, denoise in cfg.models
+            for c_prime in (name in DSF_MODELS and cfg.c_prime_grid or (None,))
+            for k in range(cfg.n_seeds)]
+
+
+def cell_seed(unit_seed: int) -> int:
+    """Seed of a unit's test corruption in every cell, from its seed alone."""
+    return derive_seed(unit_seed, 5)
+
+
 def corrupt_test_recordings(recordings: list[Recording],
                             spec: CorruptionSpec,
                             cell_seed: int) -> list[Recording]:
@@ -390,28 +407,25 @@ def _init_sweep_worker(*sweep) -> None:
 
 
 def _sweep_unit(unit, sweep=None) -> list[ResultRow]:
-    """Train unit u, then evaluate it on every grid cell in (eta, count)
-    order. Cell i of unit u is seeded by cell index u * n_cells + i."""
+    """Train a unit, then score it on every (eta, count) cell in order."""
     cfg, dataset, recordings = sweep or _sweep
-    u, name, denoise, seed, c_prime = unit
-    model, _ = train_model_unit(cfg, dataset, name, denoise, seed, c_prime)
-    cells = list(itertools.product(cfg.eta_grid, cfg.count_grid))
+    name, denoise, seed, _ = unit
+    model, _ = train_model_unit(cfg, dataset, *unit)
     return [ResultRow(seed=seed, split_id=0, model=name, denoise=denoise,
                       eta=eta, n_corrupted=count, c_prime=model.c_prime,
                       metric=cfg.metric,
                       value=evaluate_cell(
                           model, recordings, _cell_spec(cfg, eta, count),
-                          derive_seed(cfg.master_seed, u * len(cells) + i),
-                          cfg.metric))
-            for i, (eta, count) in enumerate(cells)]
+                          cell_seed(seed), cfg.metric))
+            for eta, count in itertools.product(cfg.eta_grid, cfg.count_grid)]
 
 
 def run_sweep(cfg: ExperimentConfig, dataset: Dataset, out_path: str,
               jobs: int = 1) -> list[ResultRow]:
     """Train every model unit per seed, evaluate every grid cell and write
     the rows as CSV. One task trains and evaluates each unit, in up to
-    `jobs` forked workers that return only rows; cell seeds derive from
-    (master seed, cell index), so every jobs value gives the same CSV."""
+    `jobs` forked workers that return only rows; a row depends only on
+    its unit and cell, so every jobs value gives the same CSV."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     test_recs = dataset.split("test")
@@ -422,15 +436,7 @@ def run_sweep(cfg: ExperimentConfig, dataset: Dataset, out_path: str,
         raise ValueError(f"count grid entry {max(cfg.count_grid)} exceeds "
                          f"the dataset's {n_channels} channels")
 
-    units = []
-    for name, denoise in cfg.models:
-        c_primes = (cfg.c_prime_grid if name in DSF_MODELS and cfg.c_prime_grid
-                    else (None,))
-        for c_prime, seed_idx in itertools.product(c_primes,
-                                                   range(cfg.n_seeds)):
-            seed = derive_seed(cfg.master_seed, 100 + seed_idx)
-            units.append((len(units), name, denoise, seed, c_prime))
-
+    units = sweep_units(cfg)
     sweep = (cfg, dataset, test_recs)
     workers = min(jobs, len(units))
     if workers > 1:
@@ -461,14 +467,14 @@ def inspect_filters(model: DeepModel, recordings: list[Recording],
     Returns ((W, b, phi), summary): the filters W (n, C', C) and biases
     b (n, C') applied to each of the n test windows, in recording order,
     their channel contributions phi (n, C), and a map from each channel to
-    (q25, median, q75) of phi. When a corruption spec is given,
-    recordings are corrupted first. The dump has one CSV row per window:
-    its index, then W, b and phi flattened.
+    (q25, median, q75) of phi. Given a spec, recordings are first
+    corrupted as the sweep does for the unit seeded `seed`. The dump has
+    one CSV row per window: its index, then W, b and phi flattened.
     """
     if model.name not in DSF_MODELS:
         raise ValueError(f"{model.name!r} is not a DSF-family model")
     if spec is not None:
-        recordings = corrupt_test_recordings(recordings, spec, seed)
+        recordings = corrupt_test_recordings(recordings, spec, cell_seed(seed))
     module = model.front
     X = np.concatenate([rec.windows for rec in recordings])
     W, b = module.filters_from_summary(module.summaries(X), model.store)

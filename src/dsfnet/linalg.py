@@ -73,6 +73,10 @@ def oas_shrink(S: NDArray, n_samples: int) -> NDArray:
         raise DegenerateInputError("OAS needs n_samples >= 2")
     C = S.shape[-1]
     eye = np.eye(C)
+    # rho is scale-free: scaling each matrix by a power of two (exact)
+    # keeps tr(S^2) from overflowing and changes no bit of the result.
+    exp = np.frexp(np.abs(S).max(axis=(-2, -1), keepdims=True, initial=0))[1]
+    S = np.ldexp(S, -exp)
 
     tr_S = np.trace(S, axis1=-2, axis2=-1)
     tr_S2 = np.sum(S * S, axis=(-2, -1))
@@ -88,7 +92,8 @@ def oas_shrink(S: NDArray, n_samples: int) -> NDArray:
     rho, rho_mu = rho[..., None, None], (rho * mu)[..., None, None]
     shrunk = (1.0 - rho) * S + rho_mu * eye
     shrunk = (shrunk + _mT(shrunk)) / 2.0
-    return np.where((tr_S <= 0.0)[..., None, None], EIG_FLOOR * eye, shrunk)
+    return np.where((tr_S <= 0.0)[..., None, None], EIG_FLOOR * eye,
+                    np.ldexp(shrunk, exp))
 
 
 def sym_eig(S: NDArray) -> tuple[NDArray, NDArray]:

@@ -426,8 +426,17 @@ class TrainConfig:
     t_max: int = 40
 
     def __post_init__(self) -> None:
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
+        if not 0.0 < self.lr0 < np.inf:
+            raise ValueError(f"lr0 must be finite and > 0, got {self.lr0}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got "
+                                 f"{getattr(self, name)}")
+        if not self.eps > 0.0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got "
+                             f"{self.weight_decay}")
         _check_positive_ints(self, ("max_epochs", "batch_size", "t_max"))
         if not 0 <= self.patience <= self.max_epochs:
             raise ValueError(f"patience must be in [0, max_epochs], got "

@@ -11,7 +11,8 @@ import dsfnet
 import dsfnet.cli
 from dsfnet.cli import main, taylor_error_curve
 from dsfnet.config import load_experiment_config
-from dsfnet.harness import RANDOM_MASK, _cell_spec
+from dsfnet.harness import (RANDOM_MASK, _cell_spec, corrupt_test_recordings,
+                            evaluate_cell, inspect_filters)
 from dsfnet.nn import ParamStore
 from dsfnet.synth import load_dataset
 
@@ -133,6 +134,55 @@ def test_inspect_corrupts_as_the_sweep_does(tmp_path, dataset_path,
                                 else n_corrupted)]
 
 
+@pytest.fixture
+def first_sweep_unit(tmp_path, dataset_path, monkeypatch):
+    """Run `sweep --seed 4` on a config whose first unit is dsfm_st at
+    C' = 2; return the config path, the model the sweep trained first and
+    the test recordings it was scored on in cell (eta 1, 1 channel)."""
+    path = tmp_path / "first.cfg"
+    path.write_text(TINY_CFG.format(models="dsfm_st:augmentation, vanilla")
+                    .replace("n_seeds = 1", "n_seeds = 2")
+                    + "count_grid = 1\nc_prime_grid = 2, 3\n")
+    calls = []
+
+    def spy(model, recordings, spec, cell_seed, metric):
+        calls.append((model, spec,
+                      corrupt_test_recordings(recordings, spec, cell_seed)))
+        return evaluate_cell(model, recordings, spec, cell_seed, metric)
+
+    monkeypatch.setattr(dsfnet.harness, "evaluate_cell", spy)
+    assert main(["sweep", "--config", str(path), "--seed", "4", "--dataset",
+                 dataset_path, "--out", str(tmp_path / "r.csv")]) == 0
+    model = calls[0][0]
+    assert model.name == "dsfm_st" and model.c_prime == 2
+    scored = [recs for m, spec, recs in calls
+              if m is model and spec.eta_range == (1.0, 1.0)]
+    assert len(scored) == 1
+    return str(path), model, scored[0]
+
+
+def test_train_saves_the_unit_the_sweep_scored_first(tmp_path, dataset_path,
+                                                     first_sweep_unit):
+    path, model, _ = first_sweep_unit
+    out = tmp_path / "params.bin"
+    assert main(["train", "--config", path, "--seed", "4",
+                 "--dataset", dataset_path, "--out", str(out)]) == 0
+    model.store.save(str(tmp_path / "sweep.bin"))
+    assert out.read_bytes() == (tmp_path / "sweep.bin").read_bytes()
+
+
+def test_inspect_dumps_the_windows_the_sweep_scored(tmp_path, dataset_path,
+                                                    first_sweep_unit):
+    path, model, scored = first_sweep_unit
+    out = tmp_path / "filters.csv"
+    assert main(["inspect", "--config", path, "--seed", "4",
+                 "--dataset", dataset_path, "--out", str(out),
+                 "--eta", "1.0", "--n-corrupted", "1"]) == 0
+    inspect_filters(model, scored, None, 0,
+                    dump_path=str(tmp_path / "sweep.csv"))
+    assert out.read_bytes() == (tmp_path / "sweep.csv").read_bytes()
+
+
 def test_class_count_comes_from_data_section(tmp_path):
     path = tmp_path / "three.cfg"
     path.write_text(TINY_CFG.format(models="vanilla, dsfd, riemann")
@@ -192,6 +242,8 @@ def test_inspect_rejects_bad_corruption_in_one_line(tmp_path, cfg_path,
     ("data", "n_recordings = 0"),
     ("data", "windows_per_recording = 0"),
     ("data", "sensor_noise_std_uv = -1"),
+    ("sweep", "models = riemann:none, riemann:none\neta_grid = 0.5, 0.5"),
+    ("train", "eps = 0"),
 ])
 def test_bad_config_fails_in_one_line(tmp_path, section, line, capsys):
     path = tmp_path / "bad.cfg"

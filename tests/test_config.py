@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dsfnet.config import (PARSERS, ConfigError, load_experiment_config,
                            parse_config_text)
-from dsfnet.harness import ExperimentConfig
+from dsfnet.harness import MODEL_NAMES, ExperimentConfig
 from dsfnet.nn import ShallowNetConfig, TrainConfig
 from dsfnet.synth import SynthConfig
 
@@ -164,6 +164,22 @@ def test_every_field_but_the_nested_configs_has_a_parser():
     ("data", "windows_per_recording = 0"),
     ("data", "background_std_uv = -1"),
     ("data", "sensor_noise_std_uv = -1"),
+    ("sweep", "models = riemann:none, riemann:none"),
+    ("sweep", "models = vanilla, vanilla:none"),
+    ("sweep", "eta_grid = 0.5, 0.5"),
+    ("sweep", "eta_grid = 0.0, -0.0"),
+    ("sweep", "count_grid = 1, -1, 1"),
+    ("sweep", "c_prime_grid = 2, 2"),
+    ("train", "lr0 = nan"),
+    ("train", "lr0 = inf"),
+    ("train", "beta1 = 1"),
+    ("train", "beta1 = -1"),
+    ("train", "beta2 = 1"),
+    ("train", "beta2 = nan"),
+    ("train", "eps = 0"),
+    ("train", "eps = nan"),
+    ("train", "weight_decay = inf"),
+    ("train", "weight_decay = -0.01"),
 ])
 def test_bad_value_names_file_and_section(tmp_path, section, line):
     path = write(tmp_path, f"[{section}]\n{line}\n")
@@ -206,3 +222,9 @@ def test_readme_example_config_loads(tmp_path):
                                 ("riemann", "none")]
     assert sweep_cfg.count_grid == (-1,)
     assert sweep_cfg.n_seeds == 3
+
+
+def test_readme_lists_every_model_name():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = readme.split("Model names:", 1)[1].split(".", 1)[0]
+    assert tuple(re.findall(r"`(\w+)`", listed)) == MODEL_NAMES

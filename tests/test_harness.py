@@ -9,9 +9,10 @@ from dsfnet.attention import channel_contribution
 from dsfnet.corruption import CorruptionSpec
 from dsfnet.harness import (RANDOM_MASK, RESULT_HEADER, DeepModel,
                             ExperimentConfig, FeatureModel, _cell_spec,
-                            accuracy, balanced_accuracy, class_weight_vector,
-                            compute_metric, corrupt_test_recordings,
-                            evaluate_cell, inspect_filters, run_sweep,
+                            accuracy, balanced_accuracy, cell_seed,
+                            class_weight_vector, compute_metric,
+                            corrupt_test_recordings, evaluate_cell,
+                            inspect_filters, run_sweep, sweep_units,
                             train_deep_model, train_model_unit)
 from dsfnet.nn import ShallowNetConfig, TrainConfig
 from dsfnet.seeding import derive_seed
@@ -90,6 +91,13 @@ def test_experiment_config_validation():
         ExperimentConfig(models=[("vanilla", "none")], eta_grid=(1.5,))
     with pytest.raises(ValueError):
         ExperimentConfig(models=[("vanilla", "none")], metric="f1")
+    for field, repeated in [("models", [("dsfd", "none")] * 2),
+                            ("eta_grid", (0.5, 1.0, 0.5)),
+                            ("count_grid", (1, 1)),
+                            ("c_prime_grid", (2, 2))]:
+        with pytest.raises(ValueError, match=f"^{field} repeats an entry"):
+            ExperimentConfig(**{"models": [("dsfd", "none")],
+                                field: repeated})
 
 
 # ---------------------------------------------------------------------------
@@ -333,33 +341,85 @@ def test_run_sweep_c_prime_grid_expands_dsf_models_only(tmp_path):
     assert sorted(r.c_prime for r in rows if r.model == "dsfd") == [2, 3]
 
 
-def test_run_sweep_cell_seeds_are_unit_major(tmp_path, monkeypatch):
-    # Cell i of unit u is seeded by derive_seed(master, u * n_cells + i).
+def test_run_sweep_rows_follow_sweep_units(tmp_path):
+    # Unit order: model, then C', then replicate k seeded
+    # derive_seed(master, 100 + k); every cell of a unit is scored on the
+    # test recordings corrupted from cell_seed(unit seed).
     ds = tiny_dataset()
-    units = [("vanilla", "none"), ("handcrafted", "none")]
-    cfg = sweep_config(units, eta_grid=(0.5, 1.0), count_grid=(RANDOM_MASK, 1))
-    cells = [(eta, count) for eta in cfg.eta_grid for count in cfg.count_grid]
-    seeds = []
+    cfg = sweep_config([("dsfd", "none"), ("handcrafted", "none")], n_seeds=2,
+                       eta_grid=(0.5, 1.0), count_grid=(RANDOM_MASK, 1))
+    cfg.c_prime_grid = (2, 3)
+    seeds = [derive_seed(cfg.master_seed, 100 + k) for k in range(2)]
+    units = sweep_units(cfg)
+    assert units == [("dsfd", "none", seeds[0], 2),
+                     ("dsfd", "none", seeds[1], 2),
+                     ("dsfd", "none", seeds[0], 3),
+                     ("dsfd", "none", seeds[1], 3),
+                     ("handcrafted", "none", seeds[0], None),
+                     ("handcrafted", "none", seeds[1], None)]
+    rows = run_sweep(cfg, ds, str(tmp_path / "r.csv"))
+    expected = {}
+    for unit in units:
+        model, _ = train_model_unit(cfg, ds, *unit)
+        for eta in cfg.eta_grid:
+            for count in cfg.count_grid:
+                expected[unit[0], unit[2], model.c_prime, eta, count] = \
+                    evaluate_cell(model, ds.split("test"),
+                                  _cell_spec(cfg, eta, count),
+                                  cell_seed(unit[2]), cfg.metric)
+    assert {(r.model, r.seed, r.c_prime, r.eta, r.n_corrupted): r.value
+            for r in rows} == expected
+
+
+def spy_scored_windows(monkeypatch):
+    """Record (model, spec, bytes of the test windows it is scored on) for
+    every evaluate_cell call the sweep makes."""
+    calls = []
 
     def spy(model, recordings, spec, cell_seed, metric):
-        seeds.append(cell_seed)
+        scored = corrupt_test_recordings(recordings, spec, cell_seed)
+        calls.append((model, spec,
+                      b"".join(rec.windows.tobytes() for rec in scored)))
         return evaluate_cell(model, recordings, spec, cell_seed, metric)
 
     monkeypatch.setattr(harness, "evaluate_cell", spy)
-    rows = run_sweep(cfg, ds, str(tmp_path / "r.csv"))
-    n_cells = len(cells)
-    assert seeds == [derive_seed(cfg.master_seed, k)
-                     for k in range(len(units) * n_cells)]
-    expected = {}
-    for u, (name, denoise) in enumerate(units):
-        model, _ = train_model_unit(cfg, ds, name, denoise,
-                                    derive_seed(cfg.master_seed, 100))
-        for i, (eta, count) in enumerate(cells):
-            expected[name, eta, count] = evaluate_cell(
-                model, ds.split("test"), _cell_spec(cfg, eta, count),
-                derive_seed(cfg.master_seed, u * n_cells + i), cfg.metric)
-    assert {(r.model, r.eta, r.n_corrupted): r.value
-            for r in rows} == expected
+    return calls
+
+
+def test_run_sweep_row_depends_only_on_its_own_key(tmp_path, monkeypatch):
+    ds = tiny_dataset()
+    calls = spy_scored_windows(monkeypatch)
+    alone = run_sweep(sweep_config([("riemann", "none")], n_seeds=2),
+                      ds, str(tmp_path / "a.csv"))
+    n_alone = len(calls)
+    # Another unit listed first, and more etas and counts in the grids.
+    more = run_sweep(sweep_config([("handcrafted", "none"),
+                                   ("riemann", "none")], n_seeds=2,
+                                  eta_grid=(0.5, 0.0, 1.0),
+                                  count_grid=(1, RANDOM_MASK)),
+                     ds, str(tmp_path / "b.csv"))
+    by_key = {(r.model, r.seed, r.eta, r.n_corrupted): r for r in more}
+    assert [by_key[r.model, r.seed, r.eta, r.n_corrupted]
+            for r in alone] == alone
+    scored = {(m.kind, m.seed, spec): windows
+              for m, spec, windows in calls[n_alone:]}
+    for model, spec, windows in calls[:n_alone]:
+        assert scored[model.kind, model.seed, spec] == windows
+
+
+def test_run_sweep_scores_a_replicates_units_on_the_same_recordings(
+        tmp_path, monkeypatch):
+    ds = tiny_dataset()
+    calls = spy_scored_windows(monkeypatch)
+    cfg = sweep_config([("vanilla", "none"), ("riemann", "none"),
+                        ("handcrafted", "augmentation")],
+                       eta_grid=(0.5, 1.0), count_grid=(RANDOM_MASK, 1))
+    run_sweep(cfg, ds, str(tmp_path / "r.csv"))
+    per_cell = {}
+    for _, spec, windows in calls:
+        per_cell.setdefault(spec, set()).add(windows)
+    assert len(calls) == 3 * 4 and len(per_cell) == 4
+    assert all(len(windows) == 1 for windows in per_cell.values())
 
 
 def test_run_sweep_serial_parallel_identical(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -69,6 +71,26 @@ def test_oas_zero_trace_degenerate():
     assert np.all(np.linalg.eigvalsh(out) > 0)
 
 
+@pytest.mark.parametrize("k", [600, -600])
+def test_oas_commutes_with_power_of_two_scaling(rng, k):
+    # Unscaled, tr(S^2) of 2**600 S overflows and that of 2**-600 S
+    # underflows to 0, and either way S is shrunk all the way to mu I.
+    S = sample_covariance(rng.normal(size=(4, 5, 50)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = oas_shrink(np.ldexp(S, k), 50)
+    np.testing.assert_array_equal(out, np.ldexp(oas_shrink(S, 50), k))
+
+
+def test_oas_of_huge_entries_keeps_their_shape():
+    # C = 2 and n = 100: rho = 2 / n, so diag(a, 1) -> diag(.99a, .01a + .98).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = oas_shrink(np.diag([1e200, 1.0]), 100)
+    np.testing.assert_allclose(out, np.diag([0.99e200, 0.01e200 + 0.98]),
+                               rtol=1e-15, atol=0)
+
+
 WINDOW_STACKS = arrays(
     np.float64,
     st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(2, 12)),
@@ -78,10 +100,10 @@ WINDOW_STACKS = arrays(
 @settings(max_examples=200, deadline=None)
 @given(X=WINDOW_STACKS)
 def test_oas_of_any_finite_covariance_is_spd(X):
-    # Entries past ~1e154 overflow tr(S^2); OAS then shrinks fully.
     with np.errstate(over="ignore", invalid="ignore"):
         S = sample_covariance(X)
-        assume(np.all(np.isfinite(S)))
+    assume(np.all(np.isfinite(S)))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
         out = oas_shrink(S, X.shape[-1])
     assert np.array_equal(out, np.swapaxes(out, -1, -2))
     assert np.all(np.linalg.eigvalsh(out) > 0)

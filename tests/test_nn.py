@@ -507,5 +507,11 @@ def test_cosine_lr_schedule():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr0=0.0)
+    for field, bad in [("lr0", np.nan), ("lr0", np.inf), ("beta1", 1.0),
+                       ("beta1", -1.0), ("beta2", 1.0), ("eps", 0.0),
+                       ("eps", np.nan), ("weight_decay", np.inf),
+                       ("weight_decay", -0.01)]:
+        with pytest.raises(ValueError, match=rf"^{field} must be .*, got "):
+            TrainConfig(**{field: bad})
     with pytest.raises(ValueError):
         TrainConfig(patience=50, max_epochs=40)

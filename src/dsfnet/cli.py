@@ -14,8 +14,8 @@ import numpy as np
 
 from .binio import write_csv
 from .config import load_experiment_config
-from .harness import (DSF_MODELS, RANDOM_MASK, ExperimentConfig,
-                      FeatureModel, _cell_spec, inspect_filters, run_sweep,
+from .harness import (DEEP_MODELS, DSF_MODELS, RANDOM_MASK, ExperimentConfig,
+                      _cell_spec, cell_seed, inspect_filters, run_sweep,
                       sweep_units, train_model_unit)
 from .linalg import matrix_log_eig, matrix_log_taylor, oas_shrink, \
     sample_covariance
@@ -34,7 +34,7 @@ def _load_configs(args):
         data_cfg, sweep_cfg = load_experiment_config(args.config)
     else:
         data_cfg = SynthConfig()
-        sweep_cfg = ExperimentConfig(models=[("vanilla", "none")])
+        sweep_cfg = ExperimentConfig()
     sweep_cfg.master_seed = args.seed
     return data_cfg, sweep_cfg
 
@@ -50,17 +50,16 @@ def cmd_gen(args) -> int:
 
 def _first_unit(args):
     _, sweep_cfg = _load_configs(args)
-    return sweep_cfg, load_dataset(args.dataset), sweep_units(sweep_cfg)[0]
+    return sweep_cfg, sweep_units(sweep_cfg)[0]
 
 
 def cmd_train(args) -> int:
-    sweep_cfg, ds, unit = _first_unit(args)
+    sweep_cfg, unit = _first_unit(args)
     name, denoise, _, _ = unit
-    model, log = train_model_unit(sweep_cfg, ds, *unit)
-    if isinstance(model, FeatureModel):
-        print(f"trained feature model {name} ({denoise})", file=sys.stderr)
-        print("feature models have no parameter file; nothing written")
-        return 0
+    if name not in DEEP_MODELS:  # a feature model has no parameter file
+        raise ValueError(f"{name!r} is not a deep model")
+    model, log = train_model_unit(sweep_cfg, load_dataset(args.dataset),
+                                  *unit)
     model.store.save(args.out)
     print(f"trained {name} ({denoise}), best epoch {log.best_epoch}, "
           f"saved parameters to {args.out}")
@@ -78,22 +77,19 @@ def cmd_sweep(args) -> int:
 def cmd_inspect(args) -> int:
     if not 0.0 <= args.eta <= 1.0:
         raise ValueError(f"--eta must be in [0, 1], got {args.eta}")
-    sweep_cfg, ds, unit = _first_unit(args)
+    sweep_cfg, unit = _first_unit(args)
+    ds = load_dataset(args.dataset)
     C = ds.config.n_channels
     if args.n_corrupted is not None and not 0 <= args.n_corrupted <= C:
         raise ValueError(f"--n-corrupted must be in [0, {C}] for a "
                          f"{C}-channel dataset, got {args.n_corrupted}")
-    name, _, seed, _ = unit
-    if name not in DSF_MODELS:
-        raise ValueError(f"{name!r} is not a DSF-family model")
+    if unit[0] not in DSF_MODELS:
+        raise ValueError(f"{unit[0]!r} is not a DSF-family model")
     model, _ = train_model_unit(sweep_cfg, ds, *unit)
-    spec = None
-    if args.eta > 0:
-        spec = _cell_spec(sweep_cfg, args.eta,
-                          RANDOM_MASK if args.n_corrupted is None
-                          else args.n_corrupted)
-    _, summary = inspect_filters(model, ds.split("test"), spec, seed,
-                                 dump_path=args.out)
+    spec = _cell_spec(sweep_cfg, args.eta, RANDOM_MASK
+                      if args.n_corrupted is None else args.n_corrupted)
+    _, summary = inspect_filters(model, ds.split("test"), spec,
+                                 cell_seed(unit[2]), dump_path=args.out)
     for ch, (q25, med, q75) in summary.items():
         print(f"channel {ch}: phi median {med:.4f} (q25 {q25:.4f}, "
               f"q75 {q75:.4f})")

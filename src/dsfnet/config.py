@@ -115,8 +115,5 @@ def load_experiment_config(path: str) -> tuple[SynthConfig, ExperimentConfig]:
     data_cfg = apply(SynthConfig(), "data")
     train_cfg = apply(TrainConfig(), "train")
     net_cfg = apply(ShallowNetConfig(), "net")
-    sweep_cfg = apply(
-        ExperimentConfig(models=[("vanilla", "none")], train=train_cfg,
-                         net=net_cfg),
-        "sweep")
+    sweep_cfg = apply(ExperimentConfig(train=train_cfg, net=net_cfg), "sweep")
     return data_cfg, sweep_cfg

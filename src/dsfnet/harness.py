@@ -24,8 +24,8 @@ from .baselines import (LogisticRegression, aggregate_recording,
 from .binio import write_csv
 from .corruption import CorruptionSpec, augment_batch, corrupt_recording
 from .interp import INTERP_KINDS, InterpModule
-from .nn import (ParamStore, ShallowNet, ShallowNetConfig, TrainConfig,
-                 adamw_step, cosine_lr, softmax, softmax_xent)
+from .nn import (ParamStore, Sequential, ShallowNet, ShallowNetConfig,
+                 TrainConfig, adamw_step, cosine_lr, softmax, softmax_xent)
 from .seeding import derive_seed, rng_for
 from .synth import Dataset, Recording
 
@@ -56,7 +56,8 @@ RESULT_HEADER = tuple(f.name for f in fields(ResultRow))
 
 @dataclass
 class ExperimentConfig:
-    models: list[tuple[str, str]]  # (model name, denoise strategy)
+    models: list[tuple[str, str]] = field(  # (model name, denoise strategy)
+        default_factory=lambda: [("vanilla", "none")])
     train: TrainConfig = field(default_factory=TrainConfig)
     net: ShallowNetConfig = field(default_factory=ShallowNetConfig)
     eta_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -158,19 +159,17 @@ class DeepModel:
             self.front = InterpModule(name, n_channels, self.store, rng)
         self.net = ShallowNet(self.c_prime or n_channels, n_times, net_cfg,
                               self.store, rng, n_classes)
+        self.chain = Sequential([self.front, *self.net.layers] if self.front
+                                else self.net.layers)
         # Nothing reads the gradient with respect to the input batch.
-        (self.front or self.net.layers[0]).input_grad = False
+        self.chain.layers[0].input_grad = False
 
     def forward(self, X: NDArray, train: bool = False,
                 rng: np.random.Generator | None = None) -> NDArray:
-        if self.front is not None:
-            X = self.front.forward(X, self.store, train=train, rng=rng)
-        return self.net.forward(X, self.store, train=train, rng=rng)
+        return self.chain.forward(X, self.store, train=train, rng=rng)
 
     def backward(self, dlogits: NDArray) -> None:
-        dX = self.net.backward(dlogits, self.store)
-        if self.front is not None:
-            self.front.backward(dX, self.store)
+        self.chain.backward(dlogits, self.store)
 
     def predict_proba(self, X: NDArray) -> NDArray:
         return softmax(self.forward(X))
@@ -203,14 +202,12 @@ def class_weight_vector(labels: NDArray, n_classes: int) -> NDArray:
 
 def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
                      denoise: str, seed: int,
-                     aug_spec: CorruptionSpec | None = None) -> TrainLog:
+                     aug_spec: CorruptionSpec = CorruptionSpec()) -> TrainLog:
     """Train with AdamW + cosine annealing and early stopping on the
     validation loss; restores the best-validation-loss parameters."""
     X_train, y_train = dataset.windows_and_labels("train")
     X_valid, y_valid = dataset.windows_and_labels("valid")
     weights = class_weight_vector(y_train, model.n_classes)
-    if aug_spec is None:
-        aug_spec = CorruptionSpec()
 
     n = len(X_train)
     best_loss = np.inf
@@ -302,9 +299,7 @@ class FeatureModel:
         return aggregate_recording(handcrafted_features(windows, self.sfreq))
 
     def fit(self, dataset: Dataset, denoise: str,
-            aug_spec: CorruptionSpec | None = None) -> "FeatureModel":
-        if aug_spec is None:
-            aug_spec = CorruptionSpec()
+            aug_spec: CorruptionSpec = CorruptionSpec()) -> "FeatureModel":
         rows = []
         labels = []
         recs = dataset.split("train") + dataset.split("valid")
@@ -366,6 +361,9 @@ def cell_seed(unit_seed: int) -> int:
 def corrupt_test_recordings(recordings: list[Recording],
                             spec: CorruptionSpec,
                             cell_seed: int) -> list[Recording]:
+    """The windows a cell scores; at eta 0, the recordings unchanged."""
+    if spec.eta_range == (0.0, 0.0):
+        return recordings
     return [Recording(id=rec.id, label=rec.label,
                       windows=corrupt_recording(rec.windows, spec,
                                                 rng_for(cell_seed, rec.id)))
@@ -375,11 +373,10 @@ def corrupt_test_recordings(recordings: list[Recording],
 def evaluate_cell(model, recordings: list[Recording],
                   spec: CorruptionSpec, cell_seed: int,
                   metric: str) -> float:
-    corrupted = (recordings if spec.eta_range == (0.0, 0.0)
-                 else corrupt_test_recordings(recordings, spec, cell_seed))
-    preds = [model.predict_recording(rec.windows) for rec in corrupted]
+    scored = corrupt_test_recordings(recordings, spec, cell_seed)
+    preds = [model.predict_recording(rec.windows) for rec in scored]
     return compute_metric(metric, np.asarray(preds),
-                          np.asarray([rec.label for rec in corrupted]))
+                          np.asarray([rec.label for rec in scored]))
 
 
 def train_model_unit(cfg: ExperimentConfig, dataset: Dataset, name: str,
@@ -460,21 +457,20 @@ def run_sweep(cfg: ExperimentConfig, dataset: Dataset, out_path: str,
 
 
 def inspect_filters(model: DeepModel, recordings: list[Recording],
-                    spec: CorruptionSpec | None, seed: int,
+                    spec: CorruptionSpec, cell_seed: int,
                     dump_path: str | None = None):
     """Per-window filters and per-channel contribution summary.
 
     Returns ((W, b, phi), summary): the filters W (n, C', C) and biases
     b (n, C') applied to each of the n test windows, in recording order,
     their channel contributions phi (n, C), and a map from each channel to
-    (q25, median, q75) of phi. Given a spec, recordings are first
-    corrupted as the sweep does for the unit seeded `seed`. The dump has
-    one CSV row per window: its index, then W, b and phi flattened.
+    (q25, median, q75) of phi. The windows are those evaluate_cell scores
+    with the same spec and cell seed. The dump has one CSV row per
+    window: its index, then W, b and phi flattened.
     """
     if model.name not in DSF_MODELS:
         raise ValueError(f"{model.name!r} is not a DSF-family model")
-    if spec is not None:
-        recordings = corrupt_test_recordings(recordings, spec, cell_seed(seed))
+    recordings = corrupt_test_recordings(recordings, spec, cell_seed)
     module = model.front
     X = np.concatenate([rec.windows for rec in recordings])
     W, b = module.filters_from_summary(module.summaries(X), model.store)

@@ -65,8 +65,10 @@ def oas_shrink(S: NDArray, n_samples: int) -> NDArray:
         rho = min(1, [(1 - 2/C) tr(S^2) + tr(S)^2]
                      / [(n + 1 - 2/C) (tr(S^2) - tr(S)^2 / C)])
 
-    Guarantees an SPD output whenever tr(S) > 0. A zero-trace input is
-    degenerate and maps to EIG_FLOOR * I.
+    Every eigenvalue of the output is at least rho tr(S)/C, so it is SPD
+    whenever that bound is a normal float. An input below that (zero trace,
+    or so small that the bound underflows) is degenerate and maps to
+    EIG_FLOOR * I.
     """
     S = _square_stack(S)
     if n_samples < 2:
@@ -92,8 +94,9 @@ def oas_shrink(S: NDArray, n_samples: int) -> NDArray:
     rho, rho_mu = rho[..., None, None], (rho * mu)[..., None, None]
     shrunk = (1.0 - rho) * S + rho_mu * eye
     shrunk = (shrunk + _mT(shrunk)) / 2.0
-    return np.where((tr_S <= 0.0)[..., None, None], EIG_FLOOR * eye,
-                    np.ldexp(shrunk, exp))
+    # Scaling back can round a subnormal eigenvalue floor down to zero.
+    degenerate = np.ldexp(rho_mu, exp) < np.finfo(np.float64).tiny
+    return np.where(degenerate, EIG_FLOOR * eye, np.ldexp(shrunk, exp))
 
 
 def sym_eig(S: NDArray) -> tuple[NDArray, NDArray]:

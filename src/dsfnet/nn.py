@@ -119,18 +119,12 @@ class Layer:
     """Forward caches activations; backward returns the input gradient and
     accumulates parameter gradients into the store.
 
-    The caches are the ``_``-prefixed attributes: scratch space between a
-    forward and a backward pass, left out when a layer is pickled.
-
     A model sets ``input_grad`` to False on its first layer, whose input
     gradient nobody reads; layers that can come first (TemporalConv and
     the front ends) then return None from backward instead of computing it.
     """
 
     input_grad = True
-
-    def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
 
     def forward(self, x, store, train=False, rng=None):
         raise NotImplementedError

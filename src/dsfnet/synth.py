@@ -75,6 +75,14 @@ class Dataset:
     recordings: list[Recording]
     splits: dict[int, str] = field(default_factory=dict)  # id -> tag
 
+    def __post_init__(self) -> None:
+        # The id is all that links a recording to its split.
+        seen: set[int] = set()
+        for rec in self.recordings:
+            if rec.id in seen:
+                raise ValueError(f"recording id {rec.id} repeats")
+            seen.add(rec.id)
+
     def split(self, tag: str) -> list[Recording]:
         return [r for r in self.recordings if self.splits.get(r.id) == tag]
 
@@ -216,11 +224,15 @@ def load_dataset(path: str) -> Dataset:
             (n,) = unpack_exact(f, "<I", path)
             cfg = _config(read_exact(f, n, path), path)
             (n_rec,) = unpack_exact(f, "<I", path)
-        recordings = []
+        recordings: dict[int, Recording] = {}  # id -> recording, file order
         splits: dict[int, str] = {}
         for _ in range(n_rec):
-            tag_offset = f.tell() + struct.calcsize("<QB")
+            id_offset = f.tell()
+            tag_offset = id_offset + struct.calcsize("<QB")
             rec_id, label, tag_code, n_win = unpack_exact(f, RECORD, path)
+            if rec_id in recordings:
+                raise ValueError(f"{path}: repeated recording id {rec_id} at "
+                                 f"byte offset {id_offset}")
             if tag_code >= len(SPLIT_TAGS):
                 raise ValueError(f"{path}: unknown split tag {tag_code} at "
                                  f"byte offset {tag_offset}")
@@ -230,14 +242,16 @@ def load_dataset(path: str) -> Dataset:
                                  f"{cfg.n_classes}")
             windows = read_float64(
                 f, (n_win, cfg.n_channels, cfg.n_times), path)
-            recordings.append(Recording(id=rec_id, label=label,
-                                        windows=windows))
+            recordings[rec_id] = Recording(id=rec_id, label=label,
+                                           windows=windows)
             if SPLIT_TAGS[tag_code]:
                 splits[rec_id] = SPLIT_TAGS[tag_code]
         expect_end(f, path)
     if version == 1 and recordings:
         try:
-            cfg = replace(cfg, n_classes=max(r.label for r in recordings) + 1)
+            cfg = replace(cfg, n_classes=max(r.label for r in
+                                             recordings.values()) + 1)
         except ValueError as e:
             raise ValueError(f"{path}: bad dataset labels: {e}") from e
-    return Dataset(config=cfg, recordings=recordings, splits=splits)
+    return Dataset(config=cfg, recordings=list(recordings.values()),
+                   splits=splits)

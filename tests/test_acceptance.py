@@ -15,8 +15,8 @@ from dsfnet.attention import DsfConfig, DsfModule, dsf_param_count
 from dsfnet.corruption import (CorruptionSpec, corrupt_window,
                                corruption_fraction)
 from dsfnet.harness import (DeepModel, ExperimentConfig, _cell_spec,
-                            balanced_accuracy, evaluate_cell, inspect_filters,
-                            train_deep_model)
+                            balanced_accuracy, cell_seed, evaluate_cell,
+                            inspect_filters, train_deep_model)
 from dsfnet.interp import INTERP_KINDS, InterpModule, dynamic_omega
 from dsfnet.linalg import matrix_exp_eig, matrix_log_eig
 from dsfnet.nn import (AvgPool, Dense, Flatten, ParamStore, ShallowNetConfig,
@@ -277,8 +277,11 @@ def test_criterion_08_corrupted_channel_downweighted(trained_models):
     medians = []
     for seed in SEEDS:
         model = models[("dsfm_st", "augmentation", seed)]
-        _, clean = inspect_filters(model, ds.split("test"), None, seed)
-        _, noised = inspect_filters(model, ds.split("test"), spec, seed)
+        _, clean = inspect_filters(model, ds.split("test"),
+                                   CorruptionSpec(eta_range=(0.0, 0.0)),
+                                   cell_seed(seed))
+        _, noised = inspect_filters(model, ds.split("test"), spec,
+                                    cell_seed(seed))
         medians.append((clean[target][1], noised[target][1]))
         if noised[target][1] < clean[target][1]:
             hits += 1

@@ -14,8 +14,9 @@ from hypothesis.extra.numpy import arrays
 import dsfnet.binio
 import dsfnet.cli
 from dsfnet.binio import atomic_write
-from dsfnet.harness import (DeepModel, ExperimentConfig, inspect_filters,
-                            run_sweep)
+from dsfnet.corruption import CorruptionSpec
+from dsfnet.harness import (DeepModel, ExperimentConfig, cell_seed,
+                            inspect_filters, run_sweep)
 from dsfnet.nn import ParamStore, ShallowNetConfig
 from dsfnet.synth import (SPLIT_TAGS, Dataset, Recording, SynthConfig,
                           generate_dataset, load_dataset, save_dataset,
@@ -73,7 +74,8 @@ def write_results(path):
 def write_dump(path):
     recordings = generate_dataset(TINY, 0).recordings[:1]
     inspect_filters(DeepModel("dsfm_st", 3, 128, TINY_NET, seed=6),
-                    recordings, None, 0, dump_path=path)
+                    recordings, CorruptionSpec(eta_range=(0.0, 0.0)),
+                    cell_seed(0), dump_path=path)
 
 
 def write_taylor(path):

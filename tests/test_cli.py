@@ -1,5 +1,6 @@
 import csv
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +10,12 @@ import pytest
 
 import dsfnet
 import dsfnet.cli
-from dsfnet.cli import main, taylor_error_curve
+from dsfnet.cli import build_parser, main, taylor_error_curve
 from dsfnet.config import load_experiment_config
-from dsfnet.harness import (RANDOM_MASK, _cell_spec, corrupt_test_recordings,
-                            evaluate_cell, inspect_filters)
+from dsfnet.corruption import CorruptionSpec
+from dsfnet.harness import (RANDOM_MASK, _cell_spec, cell_seed,
+                            corrupt_test_recordings, evaluate_cell,
+                            inspect_filters)
 from dsfnet.nn import ParamStore
 from dsfnet.synth import load_dataset
 
@@ -79,12 +82,17 @@ def test_train_saves_parameters(tmp_path, cfg_path, dataset_path, capsys):
     assert "saved parameters" in capsys.readouterr().out
 
 
-def test_train_feature_model_writes_nothing(tmp_path, cfg_path, dataset_path,
-                                            capsys):
-    out = str(tmp_path / "params.bin")
-    assert main(["train", "--config", cfg_path("handcrafted:none"),
-                 "--seed", "1", "--dataset", dataset_path, "--out", out]) == 0
-    assert "nothing written" in capsys.readouterr().out
+def test_train_rejects_a_feature_model_before_loading_data(
+        tmp_path, cfg_path, dataset_path, capsys, monkeypatch):
+    def no_loading(path):
+        raise AssertionError("loaded the dataset")
+    monkeypatch.setattr(dsfnet.cli, "load_dataset", no_loading)
+    out = tmp_path / "params.bin"
+    assert main(["train", "--config", cfg_path("handcrafted:none"), "--seed",
+                 "1", "--dataset", dataset_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: 'handcrafted' is not a deep model"]
+    assert not out.exists()
 
 
 def test_sweep_writes_results_csv(tmp_path, cfg_path, dataset_path):
@@ -178,9 +186,22 @@ def test_inspect_dumps_the_windows_the_sweep_scored(tmp_path, dataset_path,
     assert main(["inspect", "--config", path, "--seed", "4",
                  "--dataset", dataset_path, "--out", str(out),
                  "--eta", "1.0", "--n-corrupted", "1"]) == 0
-    inspect_filters(model, scored, None, 0,
-                    dump_path=str(tmp_path / "sweep.csv"))
+    inspect_filters(model, scored, CorruptionSpec(eta_range=(0.0, 0.0)),
+                    cell_seed(0), dump_path=str(tmp_path / "sweep.csv"))
     assert out.read_bytes() == (tmp_path / "sweep.csv").read_bytes()
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:]
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("dsfnet ")]
+    assert {argv[0] for argv in examples} == {
+        "gen", "train", "sweep", "inspect", "taylor-bench"}
+    for argv in examples:
+        build_parser().parse_args(argv)  # a bad flag exits with usage
 
 
 def test_class_count_comes_from_data_section(tmp_path):

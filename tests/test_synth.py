@@ -8,9 +8,9 @@ import pytest
 
 from dsfnet.baselines import LogisticRegression, zscore_apply, zscore_fit
 from dsfnet.harness import balanced_accuracy
-from dsfnet.synth import (Dataset, Recording, SynthConfig, generate_dataset,
-                          load_dataset, mixing_matrix, save_dataset,
-                          split_dataset)
+from dsfnet.synth import (RECORD, Dataset, Recording, SynthConfig,
+                          generate_dataset, load_dataset, mixing_matrix,
+                          save_dataset, split_dataset)
 
 TINY = SynthConfig(n_channels=3, n_times=128, n_recordings=8,
                    windows_per_recording=3)
@@ -285,6 +285,28 @@ def test_load_rejects_unknown_split_tag(tmp_path, dataset_bytes):
 def test_load_rejects_unknown_split_tag_version_1(tmp_path, dataset_bytes):
     # Version 1 header: magic, version, C, T, sfreq, count (28 bytes).
     check_unknown_split_tag(tmp_path, as_version_1(dataset_bytes, TINY), 37)
+
+
+def test_dataset_rejects_repeated_recording_id():
+    recs = generate_dataset(TINY, seed=0).recordings
+    recs[2].id = recs[3].id
+    with pytest.raises(ValueError, match="recording id 3 repeats"):
+        Dataset(config=TINY, recordings=recs)
+
+
+def test_load_rejects_repeated_recording_id(tmp_path, dataset_bytes):
+    # Every record is its RECORD header and 3 windows of 3 x 128 float64s;
+    # the second starts one record after the recording count.
+    first = count_offset(dataset_bytes) + 4
+    second = first + struct.calcsize(RECORD) + 3 * 3 * 128 * 8
+    path = tmp_path / "repeated.bin"
+    path.write_bytes(dataset_bytes[:second] + dataset_bytes[first:first + 8]
+                     + dataset_bytes[second + 8:])
+    rec_id = struct.unpack_from("<Q", dataset_bytes, first)[0]
+    where = re.escape(str(path))
+    with pytest.raises(ValueError, match=f"{where}: repeated recording id "
+                                         f"{rec_id} at byte offset {second}$"):
+        load_dataset(str(path))
 
 
 def bandpower_features(X, sfreq, bands=((8.0, 12.0), (18.0, 22.0))):

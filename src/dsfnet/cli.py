@@ -9,6 +9,7 @@ emits the truncated-series matrix-log error curve as CSV.
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -78,13 +79,13 @@ def cmd_inspect(args) -> int:
     if not 0.0 <= args.eta <= 1.0:
         raise ValueError(f"--eta must be in [0, 1], got {args.eta}")
     sweep_cfg, unit = _first_unit(args)
+    if unit[0] not in DSF_MODELS:
+        raise ValueError(f"{unit[0]!r} is not a DSF-family model")
     ds = load_dataset(args.dataset)
     C = ds.config.n_channels
     if args.n_corrupted is not None and not 0 <= args.n_corrupted <= C:
         raise ValueError(f"--n-corrupted must be in [0, {C}] for a "
                          f"{C}-channel dataset, got {args.n_corrupted}")
-    if unit[0] not in DSF_MODELS:
-        raise ValueError(f"{unit[0]!r} is not a DSF-family model")
     model, _ = train_model_unit(sweep_cfg, ds, *unit)
     spec = _cell_spec(sweep_cfg, args.eta, RANDOM_MASK
                       if args.n_corrupted is None else args.n_corrupted)
@@ -119,7 +120,11 @@ def cmd_taylor_bench(args) -> int:
     if not all(t.strip().isdecimal() and int(t) >= 1 for t in terms):
         raise ValueError(f"--terms must be integers >= 1, got {args.terms!r}")
     data_cfg, _ = _load_configs(args)
-    ds = generate_dataset(data_cfg, args.seed)
+    # Recording r comes from its own generator, so the leading recordings
+    # of a shorter dataset are those of the full one.
+    n_rec = -(-args.n_windows // data_cfg.windows_per_recording)
+    ds = generate_dataset(replace(data_cfg, n_recordings=min(
+        data_cfg.n_recordings, n_rec)), args.seed)
     windows = np.concatenate([r.windows for r in ds.recordings])
     curve = taylor_error_curve(windows[:args.n_windows],
                                sorted({int(t) for t in terms}))

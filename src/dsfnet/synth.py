@@ -10,7 +10,7 @@ so that the 20-50 uV corruption regime is genuinely destructive.
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -50,9 +50,20 @@ class SynthConfig:
                              f"{self.n_channels}")
         if self.n_times < 128:
             raise ValueError("need at least 128 samples per window")
-        if not 0.0 < self.sfreq < math.inf:
-            raise ValueError(f"sfreq must be finite and > 0, got {self.sfreq}")
+        for name in [f.name for f in fields(self) if f.type is float]:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)}")
+        if len(self.class_freqs) != 2 or not all(map(math.isfinite,
+                                                      self.class_freqs)):
+            raise ValueError(f"class_freqs must be two finite values, got "
+                             f"{self.class_freqs}")
+        if not self.sfreq > 0.0:
+            raise ValueError(f"sfreq must be > 0, got {self.sfreq}")
         _check_positive_ints(self, ("n_recordings", "windows_per_recording"))
+        if self.mixing_seed < 0:
+            raise ValueError(f"mixing_seed must be >= 0, got "
+                             f"{self.mixing_seed}")
         for name in ("background_std_uv", "sensor_noise_std_uv"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got "
@@ -104,50 +115,61 @@ def mixing_matrix(cfg: SynthConfig) -> NDArray:
             return A / np.linalg.norm(A, axis=0, keepdims=True)
 
 
-def _pink_noise(shape: tuple[int, int], rng: np.random.Generator,
-                std: float) -> NDArray:
-    """1/f-shaped background noise, scaled to the requested std per row."""
-    C, T = shape
-    white = rng.normal(size=(C, T))
-    spec = np.fft.rfft(white, axis=1)
-    freqs = np.fft.rfftfreq(T)
-    weights = np.ones_like(freqs)
-    weights[1:] = 1.0 / np.sqrt(freqs[1:])
-    weights[0] = 0.0
-    shaped = np.fft.irfft(spec * weights, n=T, axis=1)
-    shaped /= shaped.std(axis=1, keepdims=True)
-    return std * shaped
-
-
-def _window(cfg: SynthConfig, label: int, A: NDArray,
-            rng: np.random.Generator) -> NDArray:
-    t = np.arange(cfg.n_times) / cfg.sfreq
-    amps = np.full(3, cfg.base_amplitude_uv)
-    amps[label] *= cfg.boost_factor
-    freqs = (*cfg.class_freqs, cfg.distractor_freq)
-    sources = np.stack([
-        amp * np.sin(2.0 * np.pi * f * t + rng.uniform(0.0, 2.0 * np.pi))
-        for amp, f in zip(amps, freqs)
-    ])
-    X = A @ sources
-    X += _pink_noise((cfg.n_channels, cfg.n_times), rng, cfg.background_std_uv)
-    X += rng.normal(0.0, cfg.sensor_noise_std_uv,
-                    size=(cfg.n_channels, cfg.n_times))
-    return X
-
-
 def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
-    """Deterministic dataset: same (cfg, seed) gives bit-identical data."""
+    """Deterministic dataset: same (cfg, seed) gives bit-identical data.
+
+    Recording r draws from rng_for(seed, r), window by window: three
+    source phases, then C x T white noise for the 1/f background and
+    C x T sensor noise. Window w is then
+
+        A @ (amp * sin(2 pi f t + phase)) + pink + sensor,
+
+    where pink is the white noise shaped by 1/sqrt(f) in the spectrum (DC
+    removed) and scaled to background_std_uv per channel, and sensor is
+    the sensor noise times sensor_noise_std_uv. The arithmetic runs once
+    on the recording's (n, C, T) stack, in reused buffers.
+    """
+    C, T, n = cfg.n_channels, cfg.n_times, cfg.windows_per_recording
     A = mixing_matrix(cfg)
+    freqs = np.array([*cfg.class_freqs, cfg.distractor_freq])
+    omega_t = (2.0 * np.pi * freqs)[:, None] * (np.arange(T) / cfg.sfreq)
+    f = np.fft.rfftfreq(T)
+    weights = np.zeros_like(f)
+    weights[1:] = 1.0 / np.sqrt(f[1:])
+    phases = np.empty((n, 3))
+    white = np.empty((n, C, T))
+    sensor = np.empty((n, C, T))
+    sources = np.empty((n, 3, T))
+    mixed = np.empty((n, C, T))
+    spec = np.empty((n, C, len(f)), dtype=np.complex128)
     recordings = []
     for rec_id in range(cfg.n_recordings):
         label = rec_id % cfg.n_classes
         rng = rng_for(seed, rec_id)
-        windows = np.stack([
-            _window(cfg, label, A, rng)
-            for _ in range(cfg.windows_per_recording)
-        ])
-        recordings.append(Recording(id=rec_id, label=label, windows=windows))
+        for w in range(n):
+            phases[w] = rng.uniform(0.0, 2.0 * np.pi, size=3)
+            rng.standard_normal(out=white[w])
+            rng.standard_normal(out=sensor[w])
+        # rng.normal(loc, scale) is loc + scale * z on the same z stream;
+        # the + 0.0 turns a -0.0 draw into +0.0 as loc = 0.0 does there.
+        white += 0.0
+        sensor *= cfg.sensor_noise_std_uv
+        sensor += 0.0
+        amps = np.full(3, cfg.base_amplitude_uv)
+        amps[label] *= cfg.boost_factor
+        np.add(omega_t, phases[:, :, None], out=sources)
+        np.sin(sources, out=sources)
+        sources *= amps[:, None]
+        np.fft.rfft(white, axis=-1, out=spec)
+        spec *= weights
+        # X holds the pink noise, then the window: pink + mixed is
+        # mixed + pink bit for bit, since IEEE addition commutes.
+        X = np.fft.irfft(spec, n=T, axis=-1)
+        X /= X.std(axis=-1, keepdims=True)
+        X *= cfg.background_std_uv
+        X += np.matmul(A, sources, out=mixed)
+        X += sensor
+        recordings.append(Recording(id=rec_id, label=label, windows=X))
     return Dataset(config=cfg, recordings=recordings)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import dsfnet
 import dsfnet.cli
+from dsfnet.binio import write_csv
 from dsfnet.cli import build_parser, main, taylor_error_curve
 from dsfnet.config import load_experiment_config
 from dsfnet.corruption import CorruptionSpec
@@ -17,7 +18,7 @@ from dsfnet.harness import (RANDOM_MASK, _cell_spec, cell_seed,
                             corrupt_test_recordings, evaluate_cell,
                             inspect_filters)
 from dsfnet.nn import ParamStore
-from dsfnet.synth import load_dataset
+from dsfnet.synth import generate_dataset, load_dataset
 
 TINY_CFG = """
 [data]
@@ -228,6 +229,18 @@ def test_inspect_rejects_non_dsf_model(tmp_path, cfg_path, dataset_path):
                  "--out", str(tmp_path / "f.csv")]) == 2
 
 
+def test_inspect_rejects_non_dsf_model_before_loading_data(
+        tmp_path, cfg_path, capsys, monkeypatch):
+    def no_loading(path):
+        raise AssertionError("loaded the dataset")
+    monkeypatch.setattr(dsfnet.cli, "load_dataset", no_loading)
+    assert main(["inspect", "--config", cfg_path("riemann:none"),
+                 "--dataset", str(tmp_path / "data.bin"),
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: 'riemann' is not a DSF-family model"]
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--eta", "-0.5"], "--eta must be in [0, 1], got -0.5"),
     (["--eta", "1.5"], "--eta must be in [0, 1], got 1.5"),
@@ -263,6 +276,12 @@ def test_inspect_rejects_bad_corruption_in_one_line(tmp_path, cfg_path,
     ("data", "n_recordings = 0"),
     ("data", "windows_per_recording = 0"),
     ("data", "sensor_noise_std_uv = -1"),
+    ("data", "sensor_noise_std_uv = inf"),
+    ("data", "base_amplitude_uv = nan"),
+    ("data", "boost_factor = inf"),
+    ("data", "distractor_freq = nan"),
+    ("data", "class_freqs = 10, nan"),
+    ("data", "mixing_seed = -1"),
     ("sweep", "models = riemann:none, riemann:none\neta_grid = 0.5, 0.5"),
     ("train", "eps = 0"),
 ])
@@ -319,9 +338,12 @@ def test_truncated_dataset_fails_in_one_line(tmp_path, cfg_path, dataset_path,
                                              command):
     short = tmp_path / "short.bin"
     short.write_bytes(Path(dataset_path).read_bytes()[:-5])
+    # inspect rejects a model that is not DSF before it reads the data.
+    models = "dsfm_st:none" if command == "inspect" else "vanilla:none"
     env = dict(os.environ, PYTHONPATH=str(Path(dsfnet.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-m", "dsfnet.cli", command, "--config", cfg_path(),
+        [sys.executable, "-m", "dsfnet.cli", command, "--config",
+         cfg_path(models),
          "--dataset", str(short), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 2
@@ -368,6 +390,32 @@ def test_taylor_bench_curve_and_csv(tmp_path, cfg_path):
     assert [int(r["n_terms"]) for r in rows] == [5, 20]
     errs = [float(r["median_rel_error"]) for r in rows]
     assert errs[1] <= errs[0]
+
+
+@pytest.mark.parametrize("n_windows", [1, 7, 9, 36, 50])
+def test_taylor_bench_generates_only_the_recordings_it_reads(
+        tmp_path, cfg_path, monkeypatch, n_windows):
+    # The config has 12 recordings of 3 windows each.
+    path = cfg_path()
+    data_cfg, _ = load_experiment_config(path)
+    full = generate_dataset(data_cfg, 2)
+    windows = np.concatenate([r.windows for r in full.recordings])
+    expected = tmp_path / "expected.csv"
+    write_csv(str(expected), [
+        ("n_terms", "median_rel_error", "mean_rel_error", "std_rel_error"),
+        *taylor_error_curve(windows[:n_windows], [5, 20])])
+    generated = []
+
+    def spy(cfg, seed):
+        generated.append(cfg.n_recordings)
+        return generate_dataset(cfg, seed)
+    monkeypatch.setattr(dsfnet.cli, "generate_dataset", spy)
+    out = tmp_path / "taylor.csv"
+    assert main(["taylor-bench", "--config", path, "--seed", "2",
+                 "--out", str(out), "--n-windows", str(n_windows),
+                 "--terms", "20,5"]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+    assert generated == [min(12, -(-n_windows // 3))]
 
 
 @pytest.mark.parametrize("n_windows", ["0", "-1"])

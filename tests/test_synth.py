@@ -1,13 +1,17 @@
 import dataclasses
 import json
+import math
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsfnet.baselines import LogisticRegression, zscore_apply, zscore_fit
 from dsfnet.harness import balanced_accuracy
+from dsfnet.seeding import rng_for
 from dsfnet.synth import (RECORD, Dataset, Recording, SynthConfig,
                           generate_dataset, load_dataset, mixing_matrix,
                           save_dataset, split_dataset)
@@ -27,6 +31,12 @@ def test_config_validation():
     ("n_recordings", 0), ("windows_per_recording", 0),
     ("background_std_uv", -1.0), ("sensor_noise_std_uv", -1.0),
     ("sensor_noise_std_uv", float("nan")),
+    ("sensor_noise_std_uv", float("inf")),
+    ("background_std_uv", float("inf")),
+    ("base_amplitude_uv", float("nan")), ("boost_factor", float("inf")),
+    ("distractor_freq", float("nan")),
+    ("class_freqs", (float("nan"), 20.0)), ("class_freqs", (10.0, -math.inf)),
+    ("class_freqs", (10.0,)), ("mixing_seed", -1),
 ])
 def test_config_rejects_values_that_break_generation(field, value):
     with pytest.raises(ValueError, match=field):
@@ -63,6 +73,77 @@ def test_generate_is_deterministic():
     for ra, rb in zip(a.recordings, b.recordings):
         np.testing.assert_array_equal(ra.windows, rb.windows)
     assert not np.array_equal(a.recordings[0].windows, c.recordings[0].windows)
+
+
+def pink_noise(shape, rng, std):
+    """1/f-shaped background noise, scaled to the requested std per row."""
+    C, T = shape
+    white = rng.normal(size=(C, T))
+    spec = np.fft.rfft(white, axis=1)
+    freqs = np.fft.rfftfreq(T)
+    weights = np.ones_like(freqs)
+    weights[1:] = 1.0 / np.sqrt(freqs[1:])
+    weights[0] = 0.0
+    shaped = np.fft.irfft(spec * weights, n=T, axis=1)
+    shaped /= shaped.std(axis=1, keepdims=True)
+    return std * shaped
+
+
+def one_window(cfg, label, A, rng):
+    """One window the long way: its own draws, then its own arithmetic."""
+    t = np.arange(cfg.n_times) / cfg.sfreq
+    amps = np.full(3, cfg.base_amplitude_uv)
+    amps[label] *= cfg.boost_factor
+    freqs = (*cfg.class_freqs, cfg.distractor_freq)
+    sources = np.stack([
+        amp * np.sin(2.0 * np.pi * f * t + rng.uniform(0.0, 2.0 * np.pi))
+        for amp, f in zip(amps, freqs)
+    ])
+    X = A @ sources
+    X += pink_noise((cfg.n_channels, cfg.n_times), rng, cfg.background_std_uv)
+    X += rng.normal(0.0, cfg.sensor_noise_std_uv,
+                    size=(cfg.n_channels, cfg.n_times))
+    return X
+
+
+def window_by_window(cfg, seed):
+    A = mixing_matrix(cfg)
+    out = []
+    for rec_id in range(cfg.n_recordings):
+        rng = rng_for(seed, rec_id)
+        out.append(np.stack([
+            one_window(cfg, rec_id % cfg.n_classes, A, rng)
+            for _ in range(cfg.windows_per_recording)]))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(C=st.integers(3, 6), T=st.integers(128, 601),
+       n_win=st.integers(1, 24), n_classes=st.integers(1, 3),
+       background=st.sampled_from([0.0, 4.0, 0.3]),
+       sensor=st.sampled_from([0.0, 2.0, 7.5]),
+       sfreq=st.sampled_from([100.0, 250.0]), seed=st.integers(0, 2**32 - 1))
+def test_generate_matches_window_by_window_oracle(C, T, n_win, n_classes,
+                                                  background, sensor, sfreq,
+                                                  seed):
+    cfg = SynthConfig(n_channels=C, n_times=T, sfreq=sfreq,
+                      n_recordings=n_classes + 1, windows_per_recording=n_win,
+                      n_classes=n_classes, background_std_uv=background,
+                      sensor_noise_std_uv=sensor)
+    got = generate_dataset(cfg, seed).recordings
+    for rec, ref in zip(got, window_by_window(cfg, seed), strict=True):
+        assert rec.windows.tobytes() == ref.tobytes()
+
+
+def test_leading_recordings_do_not_depend_on_the_recording_count():
+    full = generate_dataset(TINY, seed=4).recordings
+    for k in (1, 3):
+        short = generate_dataset(dataclasses.replace(TINY, n_recordings=k),
+                                 seed=4).recordings
+        assert len(short) == k
+        for a, b in zip(short, full):
+            assert (a.id, a.label) == (b.id, b.label)
+            assert a.windows.tobytes() == b.windows.tobytes()
 
 
 def test_shapes_and_labels():

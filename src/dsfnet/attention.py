@@ -27,9 +27,9 @@ class DsfConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown DSF variant: {self.variant!r}")
-        if self.n_virtual < 1:
+        if not self.n_virtual >= 1:
             raise ValueError("n_virtual must be >= 1")
-        if self.tau < 0:
+        if not self.tau >= 0:
             raise ValueError("tau must be >= 0")
 
     @property
@@ -51,7 +51,7 @@ class DsfConfig:
 
 def soft_threshold(W: NDArray, tau: float) -> NDArray:
     """sign(w) * max(|w| - tau, 0), elementwise."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be >= 0")
     return np.sign(W) * np.maximum(np.abs(W) - tau, 0.0)
 

@@ -35,14 +35,6 @@ HANDCRAFTED_NAMES = (
 )
 
 
-def riemann_length(n_channels: int) -> int:
-    return len(RIEMANN_BANDS) * n_channels * (n_channels + 1) // 2
-
-
-def handcrafted_length(n_channels: int) -> int:
-    return len(HANDCRAFTED_NAMES) * n_channels
-
-
 def band_cov_stack(X: NDArray, sfreq: float) -> NDArray:
     """Per-band OAS-shrunk covariances of (..., C, T) windows, shape
     (..., n_bands, C, C).

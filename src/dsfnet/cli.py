@@ -15,13 +15,13 @@ import numpy as np
 
 from .binio import write_csv
 from .config import load_experiment_config
-from .harness import (DEEP_MODELS, DSF_MODELS, RANDOM_MASK, ExperimentConfig,
-                      _cell_spec, cell_seed, inspect_filters, run_sweep,
-                      sweep_units, train_model_unit)
+from .harness import (DEEP_MODELS, DSF_MODELS, RANDOM_MASK, _cell_spec,
+                      cell_seed, inspect_filters, run_sweep, sweep_units,
+                      train_model_unit)
 from .linalg import matrix_log_eig, matrix_log_taylor, oas_shrink, \
     sample_covariance
-from .synth import SynthConfig, generate_dataset, load_dataset, \
-    save_dataset, split_dataset
+from .synth import generate_dataset, load_dataset, save_dataset, \
+    split_dataset
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -31,11 +31,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_configs(args):
-    if args.config:
-        data_cfg, sweep_cfg = load_experiment_config(args.config)
-    else:
-        data_cfg = SynthConfig()
-        sweep_cfg = ExperimentConfig()
+    data_cfg, sweep_cfg = load_experiment_config(args.config or None)
     sweep_cfg.master_seed = args.seed
     return data_cfg, sweep_cfg
 
@@ -49,16 +45,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _first_unit(args):
+def _first_unit(args, models, kind):
+    """The sweep config and its first unit, which must be in `models`."""
     _, sweep_cfg = _load_configs(args)
-    return sweep_cfg, sweep_units(sweep_cfg)[0]
+    unit = sweep_units(sweep_cfg)[0]
+    if unit[0] not in models:
+        raise ValueError(f"{unit[0]!r} is not a {kind}")
+    return sweep_cfg, unit
 
 
 def cmd_train(args) -> int:
-    sweep_cfg, unit = _first_unit(args)
+    # A feature model has no parameter file.
+    sweep_cfg, unit = _first_unit(args, DEEP_MODELS, "deep model")
     name, denoise, _, _ = unit
-    if name not in DEEP_MODELS:  # a feature model has no parameter file
-        raise ValueError(f"{name!r} is not a deep model")
     model, log = train_model_unit(sweep_cfg, load_dataset(args.dataset),
                                   *unit)
     model.store.save(args.out)
@@ -78,9 +77,7 @@ def cmd_sweep(args) -> int:
 def cmd_inspect(args) -> int:
     if not 0.0 <= args.eta <= 1.0:
         raise ValueError(f"--eta must be in [0, 1], got {args.eta}")
-    sweep_cfg, unit = _first_unit(args)
-    if unit[0] not in DSF_MODELS:
-        raise ValueError(f"{unit[0]!r} is not a DSF-family model")
+    sweep_cfg, unit = _first_unit(args, DSF_MODELS, "DSF-family model")
     ds = load_dataset(args.dataset)
     C = ds.config.n_channels
     if args.n_corrupted is not None and not 0 <= args.n_corrupted <= C:
@@ -120,11 +117,14 @@ def cmd_taylor_bench(args) -> int:
     if not all(t.strip().isdecimal() and int(t) >= 1 for t in terms):
         raise ValueError(f"--terms must be integers >= 1, got {args.terms!r}")
     data_cfg, _ = _load_configs(args)
+    n_total = data_cfg.n_recordings * data_cfg.windows_per_recording
+    if args.n_windows > n_total:
+        raise ValueError(f"--n-windows {args.n_windows} exceeds the "
+                         f"{n_total} windows of the [data] config")
     # Recording r comes from its own generator, so the leading recordings
     # of a shorter dataset are those of the full one.
     n_rec = -(-args.n_windows // data_cfg.windows_per_recording)
-    ds = generate_dataset(replace(data_cfg, n_recordings=min(
-        data_cfg.n_recordings, n_rec)), args.seed)
+    ds = generate_dataset(replace(data_cfg, n_recordings=n_rec), args.seed)
     windows = np.concatenate([r.windows for r in ds.recordings])
     curve = taylor_error_curve(windows[:args.n_windows],
                                sorted({int(t) for t in terms}))

@@ -98,9 +98,13 @@ def _apply_section(obj, section: dict[str, str]):
 KNOWN_SECTIONS = ("data", "train", "net", "sweep")
 
 
-def load_experiment_config(path: str) -> tuple[SynthConfig, ExperimentConfig]:
-    with open(path, encoding="utf-8") as f:
-        sections = parse_config_text(f.read())
+def load_experiment_config(path: str | None
+                           ) -> tuple[SynthConfig, ExperimentConfig]:
+    """Data and sweep configs from a file; no path gives the defaults."""
+    sections = {}
+    if path is not None:
+        with open(path, encoding="utf-8") as f:
+            sections = parse_config_text(f.read())
     for name in sections:
         if name not in KNOWN_SECTIONS:
             raise ConfigError(f"{path}: unknown section [{name}]")

@@ -63,7 +63,7 @@ def corrupt_window(X: NDArray, nu: NDArray, eta: float, sigma_uv: float,
     nu = np.asarray(nu, dtype=np.float64)
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must be in [0, 1]")
-    if sigma_uv <= 0:
+    if not sigma_uv > 0:
         raise ValueError("sigma must be positive")
     masked = nu > 0
     if eta == 0.0 or not masked.any():

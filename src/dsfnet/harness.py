@@ -27,7 +27,7 @@ from .interp import INTERP_KINDS, InterpModule
 from .nn import (ParamStore, Sequential, ShallowNet, ShallowNetConfig,
                  TrainConfig, adamw_step, cosine_lr, softmax, softmax_xent)
 from .seeding import derive_seed, rng_for
-from .synth import Dataset, Recording
+from .synth import Dataset, Recording, SynthConfig
 
 DSF_MODELS = VARIANTS
 DEEP_MODELS = ("vanilla",) + VARIANTS + INTERP_KINDS
@@ -63,12 +63,12 @@ class ExperimentConfig:
     eta_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
     count_grid: tuple[int, ...] = (RANDOM_MASK,)
     c_prime_grid: tuple[int, ...] = ()  # empty: C' = C
-    mask_p: float = 0.5
-    sigma_range_uv: tuple[float, float] = (20.0, 50.0)
+    mask_p: float = CorruptionSpec.p
+    sigma_range_uv: tuple[float, float] = CorruptionSpec.sigma_range_uv
     n_seeds: int = 1
     master_seed: int = 0
     metric: str = "balanced_accuracy"
-    dsf_tau: float = 0.1
+    dsf_tau: float = DsfConfig.tau
 
     def __post_init__(self) -> None:
         if not self.eta_grid or not self.count_grid:
@@ -139,12 +139,11 @@ class DeepModel:
 
     def __init__(self, name: str, n_channels: int, n_times: int,
                  net_cfg: ShallowNetConfig, seed: int,
-                 c_prime: int | None = None, tau: float = 0.1,
-                 n_classes: int = 2):
+                 c_prime: int | None = None, tau: float = DsfConfig.tau,
+                 n_classes: int = SynthConfig.n_classes):
         if name not in DEEP_MODELS:
             raise ValueError(f"not a deep model: {name!r}")
         self.name = name
-        self.n_channels = n_channels
         self.n_classes = n_classes
         self.store = ParamStore()
         rng = rng_for(seed, 0xD5F)
@@ -395,17 +394,14 @@ def train_model_unit(cfg: ExperimentConfig, dataset: Dataset, name: str,
     return model, log
 
 
-_sweep = None  # (cfg, dataset, test recordings), inherited by forked workers
+# (cfg, dataset, test recordings) of the running sweep, which forked workers
+# inherit; run_sweep sets it for every _sweep_unit call, so is not reentrant.
+_sweep = None
 
 
-def _init_sweep_worker(*sweep) -> None:
-    global _sweep
-    _sweep = sweep
-
-
-def _sweep_unit(unit, sweep=None) -> list[ResultRow]:
+def _sweep_unit(unit) -> list[ResultRow]:
     """Train a unit, then score it on every (eta, count) cell in order."""
-    cfg, dataset, recordings = sweep or _sweep
+    cfg, dataset, recordings = _sweep
     name, denoise, seed, _ = unit
     model, _ = train_model_unit(cfg, dataset, *unit)
     return [ResultRow(seed=seed, split_id=0, model=name, denoise=denoise,
@@ -433,17 +429,20 @@ def run_sweep(cfg: ExperimentConfig, dataset: Dataset, out_path: str,
         raise ValueError(f"count grid entry {max(cfg.count_grid)} exceeds "
                          f"the dataset's {n_channels} channels")
 
+    global _sweep
     units = sweep_units(cfg)
-    sweep = (cfg, dataset, test_recs)
     workers = min(jobs, len(units))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=mp.get_context("fork"),
-                                 initializer=_init_sweep_worker,
-                                 initargs=sweep) as pool:
-            per_unit = list(pool.map(_sweep_unit, units))
-    else:
-        per_unit = [_sweep_unit(unit, sweep) for unit in units]
+    _sweep = (cfg, dataset, test_recs)
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers,
+                                     mp_context=mp.get_context("fork")
+                                     ) as pool:
+                per_unit = list(pool.map(_sweep_unit, units))
+        else:
+            per_unit = list(map(_sweep_unit, units))
+    finally:
+        _sweep = None
     rows = sorted(itertools.chain.from_iterable(per_unit),
                   key=lambda r: (r.model, r.denoise, r.seed, r.eta,
                                  r.n_corrupted, r.c_prime))

@@ -403,7 +403,7 @@ def softmax_xent(
 
 def _check_positive_ints(cfg, names) -> None:
     for name in names:
-        if getattr(cfg, name) < 1:
+        if not getattr(cfg, name) >= 1:
             raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
 
 

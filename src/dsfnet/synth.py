@@ -115,6 +115,9 @@ def mixing_matrix(cfg: SynthConfig) -> NDArray:
             return A / np.linalg.norm(A, axis=0, keepdims=True)
 
 
+# Finite fields can still overflow (a huge amplitude or noise scale, or a
+# tiny sfreq); generate_dataset reports that as a ValueError instead.
+@np.errstate(over="ignore", invalid="ignore")
 def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
     """Deterministic dataset: same (cfg, seed) gives bit-identical data.
 
@@ -169,6 +172,11 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
         X *= cfg.background_std_uv
         X += np.matmul(A, sources, out=mixed)
         X += sensor
+        if not np.isfinite(X).all():
+            raise ValueError(f"recording {rec_id} has non-finite samples: "
+                             "base_amplitude_uv, boost_factor, "
+                             "background_std_uv, sensor_noise_std_uv or "
+                             "sfreq is out of range")
         recordings.append(Recording(id=rec_id, label=label, windows=X))
     return Dataset(config=cfg, recordings=recordings)
 

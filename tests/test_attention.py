@@ -33,6 +33,11 @@ def test_config_validation_and_defaults():
         DsfConfig(n_virtual=0)
     with pytest.raises(ValueError):
         DsfConfig(tau=-0.1)
+    for field in ("n_virtual", "tau"):
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            DsfConfig(**{field: float("nan")})
+    with pytest.raises(ValueError, match="^tau must be >= 0"):
+        soft_threshold(np.ones((2, 2)), float("nan"))
 
 
 def test_param_count_formula():

@@ -7,17 +7,19 @@ from hypothesis import strategies as st
 from dsfnet.baselines import (HANDCRAFTED_NAMES, POWER_BAND_EDGES,
                               RIEMANN_BANDS, LogisticRegression,
                               aggregate_recording, band_cov_stack,
-                              handcrafted_features, handcrafted_length,
-                              impute_apply, impute_fit, riemann_length,
-                              riemann_vectorize, zscore_apply, zscore_fit)
+                              handcrafted_features, impute_apply,
+                              impute_fit, riemann_vectorize, zscore_apply,
+                              zscore_fit)
 from dsfnet.linalg import EIG_FLOOR, oas_shrink, sample_covariance
 
 
-def test_feature_lengths():
+def test_feature_lengths(rng):
     assert len(HANDCRAFTED_NAMES) == 22
-    assert handcrafted_length(6) == 132
-    assert riemann_length(6) == 7 * 21
-    assert riemann_length(4) == 7 * 10
+    for C in (4, 6):
+        X = rng.normal(size=(2, C, 500)) * 10.0
+        assert handcrafted_features(X, 100.0).shape == (2, 22 * C)
+        assert (riemann_vectorize(band_cov_stack(X, 100.0)).shape
+                == (2, 7 * C * (C + 1) // 2))
 
 
 def test_filterbank_isolates_sinusoid():
@@ -101,7 +103,7 @@ def test_riemann_features_shape_and_finiteness(rng):
     covs = band_cov_stack(X, 100.0)
     assert covs.shape == (7, 4, 4)
     out = riemann_vectorize(covs)
-    assert out.shape == (riemann_length(4),)
+    assert out.shape == (7 * 10,)
     assert np.all(np.isfinite(out))
 
 

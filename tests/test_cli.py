@@ -392,7 +392,7 @@ def test_taylor_bench_curve_and_csv(tmp_path, cfg_path):
     assert errs[1] <= errs[0]
 
 
-@pytest.mark.parametrize("n_windows", [1, 7, 9, 36, 50])
+@pytest.mark.parametrize("n_windows", [1, 7, 9, 36])
 def test_taylor_bench_generates_only_the_recordings_it_reads(
         tmp_path, cfg_path, monkeypatch, n_windows):
     # The config has 12 recordings of 3 windows each.
@@ -426,6 +426,36 @@ def test_taylor_bench_rejects_n_windows_below_one(tmp_path, cfg_path, capsys,
                  "--out", str(out), "--n-windows", n_windows]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: --n-windows must be >= 1, got {n_windows}"]
+    assert not out.exists()
+
+
+def test_taylor_bench_rejects_more_windows_than_the_config_has(
+        tmp_path, cfg_path, capsys, monkeypatch):
+    def no_generation(*args, **kwargs):
+        raise AssertionError("generated a dataset")
+    monkeypatch.setattr(dsfnet.cli, "generate_dataset", no_generation)
+    out = tmp_path / "taylor.csv"
+    assert main(["taylor-bench", "--config", cfg_path(), "--seed", "0",
+                 "--out", str(out), "--n-windows", "50"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --n-windows 50 exceeds the 36 windows of the [data] config"]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["gen"],
+                                     ["taylor-bench", "--n-windows", "4"]])
+def test_overflowing_data_config_fails_in_one_line(tmp_path, cfg_path, capsys,
+                                                   command):
+    path = Path(cfg_path())
+    path.write_text(path.read_text() + "\n[data]\nboost_factor = 1e308\n")
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(path), "--seed", "0",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: recording 0 has non-finite samples: base_amplitude_uv, "
+        "boost_factor, background_std_uv, sensor_noise_std_uv or sfreq is "
+        "out of range"]
     assert not out.exists()
 
 

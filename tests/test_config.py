@@ -101,6 +101,10 @@ def test_defaults_when_sections_missing(tmp_path):
     assert sweep_cfg.eta_grid == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+def test_no_path_gives_the_defaults():
+    assert load_experiment_config(None) == (SynthConfig(), ExperimentConfig())
+
+
 def test_unknown_section_and_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match=r"unknown section"):
         load_experiment_config(write(tmp_path, "[bogus]\nx = 1\n"))

@@ -73,6 +73,8 @@ def test_corrupt_window_validation(rng):
         corrupt_window(X, np.ones(2), 1.5, 30.0, rng)
     with pytest.raises(ValueError):
         corrupt_window(X, np.ones(2), 0.5, 0.0, rng)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        corrupt_window(X, np.ones(2), 0.5, float("nan"), rng)
 
 
 def test_augment_batch_is_batching_invariant():

@@ -475,6 +475,25 @@ def test_run_sweep_worker_error_reaches_caller(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_sweep_hands_every_unit_its_inputs_then_clears_them(
+        tmp_path, monkeypatch, jobs):
+    ds = tiny_dataset()
+    cfg = sweep_config([("riemann", "none"), ("handcrafted", "none")])
+    run_sweep(cfg, ds, str(tmp_path / "r.csv"), jobs=jobs)
+    assert harness._sweep is None
+
+    def report_inputs(*args, **kwargs):
+        sweep_cfg, dataset, recordings = harness._sweep
+        raise ValueError(f"{len(recordings)} test recordings, "
+                         f"{len(sweep_cfg.models)} models")
+    monkeypatch.setattr(harness, "train_model_unit", report_inputs)
+    with pytest.raises(ValueError, match=f"^{len(ds.split('test'))} test "
+                       "recordings, 2 models$"):
+        run_sweep(cfg, ds, str(tmp_path / "r.csv"), jobs=jobs)
+    assert harness._sweep is None
+
+
 def test_run_sweep_rejects_count_above_channels_before_training(
         tmp_path, monkeypatch):
     def no_training(*args, **kwargs):

@@ -513,5 +513,7 @@ def test_train_config_validation():
                        ("weight_decay", -0.01)]:
         with pytest.raises(ValueError, match=rf"^{field} must be .*, got "):
             TrainConfig(**{field: bad})
+    with pytest.raises(ValueError, match=r"^pool_width must be >= 1, got nan"):
+        ShallowNetConfig(pool_width=np.nan)
     with pytest.raises(ValueError):
         TrainConfig(patience=50, max_epochs=40)

@@ -57,6 +57,21 @@ def test_config_rejects_unsupported_class_count(n_classes):
         SynthConfig(n_classes=n_classes)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fields", [
+    dict(boost_factor=1e308),
+    dict(base_amplitude_uv=1e307, boost_factor=100.0),
+    dict(background_std_uv=1e308, sensor_noise_std_uv=1e308),
+    dict(sfreq=1e-320),  # the phase rate 2 pi f / sfreq overflows
+], ids=["boost", "amplitude", "noise", "sfreq"])
+def test_generate_rejects_finite_fields_that_overflow(fields):
+    with pytest.raises(ValueError, match=(
+            r"^recording 0 has non-finite samples: base_amplitude_uv, "
+            r"boost_factor, background_std_uv, sensor_noise_std_uv or "
+            r"sfreq is out of range$")):
+        generate_dataset(dataclasses.replace(TINY, **fields), seed=0)
+
+
 def test_mixing_matrix_properties():
     A = mixing_matrix(SynthConfig())
     assert A.shape == (6, 3)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .nn import Dense, Layer, ParamStore, Sequential, Sigmoid
+from .nn import (Dense, Layer, ParamStore, Sequential, Sigmoid,
+                 _check_positive_ints)
 from .spatial import compute_summary, phi_length
 
 VARIANTS = ("dsfd", "dsfm", "dsfm_st")
@@ -27,8 +28,7 @@ class DsfConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown DSF variant: {self.variant!r}")
-        if not self.n_virtual >= 1:
-            raise ValueError("n_virtual must be >= 1")
+        _check_positive_ints(self, ("n_channels", "n_virtual"))
         if not self.tau >= 0:
             raise ValueError("tau must be >= 0")
 

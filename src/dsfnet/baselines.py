@@ -6,6 +6,8 @@ regression classifier built on the nn stack, and recording-wise
 aggregation helpers.
 """
 
+import math
+
 import numpy as np
 from numpy.typing import NDArray
 
@@ -91,12 +93,25 @@ def handcrafted_features(X: NDArray, sfreq: float) -> NDArray:
     var = centered.var(axis=-1)
     std = np.sqrt(var)
     rms = np.sqrt(np.mean(X**2, axis=-1))
-    # Sorted once: NaN sorts last, so a channel holding one still gets NaN
-    # quantiles and a NaN ptp, as max - min gives.
+    # Sorted once: NaN sorts last, so a channel holding one gets NaN
+    # quantiles, as np.quantile gives, and a NaN ptp, as max - min gives.
     X_sorted = np.sort(X, axis=-1)
-    q10, q25, q75, q90 = np.quantile(X_sorted, (0.1, 0.25, 0.75, 0.9),
-                                     axis=-1)
-    ptp = X_sorted[..., -1] - X_sorted[..., 0]
+    last = X_sorted[..., -1]
+    nan = np.isnan(last)
+    quantiles = []
+    for q in (0.1, 0.25, 0.75, 0.9):
+        # np.quantile's default 'linear' method, op for op: position
+        # (T - 1) q between two neighbours, interpolated from the nearer
+        # one. At T = 1 numpy measures t from index -1, as lo = T - 2 does.
+        pos = (T - 1) * q
+        lo = min(math.floor(pos), T - 2)
+        t = pos - lo
+        a, b = X_sorted[..., lo], X_sorted[..., lo + 1]
+        diff = b - a
+        value = b - diff * (1 - t) if t >= 0.5 else a + diff * t
+        quantiles.append(np.where(nan, last, value))
+    q10, q25, q75, q90 = quantiles
+    ptp = last - X_sorted[..., 0]
 
     spec = np.abs(np.fft.rfft(X, axis=-1)) ** 2 / T
     freqs = np.fft.rfftfreq(T, d=1.0 / sfreq)

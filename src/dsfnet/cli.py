@@ -16,8 +16,8 @@ import numpy as np
 from .binio import write_csv
 from .config import load_experiment_config
 from .harness import (DEEP_MODELS, DSF_MODELS, RANDOM_MASK, _cell_spec,
-                      cell_seed, inspect_filters, run_sweep, sweep_units,
-                      train_model_unit)
+                      cell_seed, inspect_filters, keep_freed_memory,
+                      run_sweep, sweep_units, train_model_unit)
 from .linalg import matrix_log_eig, matrix_log_taylor, oas_shrink, \
     sample_covariance
 from .synth import generate_dataset, load_dataset, save_dataset, \
@@ -180,6 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

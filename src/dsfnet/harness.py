@@ -8,6 +8,7 @@ on an (eta, corrupted-count) grid with per-recording masks and writes one
 CSV row per cell and model unit.
 """
 
+import ctypes
 import itertools
 import multiprocessing as mp
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +26,8 @@ from .binio import write_csv
 from .corruption import CorruptionSpec, augment_batch, corrupt_recording
 from .interp import INTERP_KINDS, InterpModule
 from .nn import (ParamStore, Sequential, ShallowNet, ShallowNetConfig,
-                 TrainConfig, adamw_step, cosine_lr, softmax, softmax_xent)
+                 TrainConfig, _check_positive_ints, adamw_step, cosine_lr,
+                 softmax, softmax_xent)
 from .seeding import derive_seed, rng_for
 from .synth import Dataset, Recording, SynthConfig
 
@@ -83,12 +85,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} repeats an entry")
         if any(not 0.0 <= e <= 1.0 for e in self.eta_grid):
             raise ValueError("eta grid must lie inside [0, 1]")
-        if any(n < RANDOM_MASK for n in self.count_grid):
-            raise ValueError(f"count grid entries must be >= {RANDOM_MASK}")
-        if any(c < 1 for c in self.c_prime_grid):
-            raise ValueError("c_prime grid entries must be >= 1")
-        if self.n_seeds < 1:
-            raise ValueError("n_seeds must be >= 1")
+        if not all(n >= RANDOM_MASK for n in self.count_grid):
+            raise ValueError(f"count_grid entries must be >= {RANDOM_MASK}")
+        if not all(c >= 1 for c in self.c_prime_grid):
+            raise ValueError("c_prime_grid entries must be >= 1")
+        _check_positive_ints(self, ("n_seeds",))
         if not 0.0 <= self.mask_p <= 1.0:
             raise ValueError("mask_p must lie inside [0, 1]")
         lo, hi = self.sigma_range_uv
@@ -394,6 +395,25 @@ def train_model_unit(cfg: ExperimentConfig, dataset: Dataset, name: str,
     return model, log
 
 
+def keep_freed_memory() -> None:
+    """Make glibc keep the memory this process frees, for reuse.
+
+    By default glibc unmaps each freed large array and returns the free
+    top of its heap to the kernel, so every training step faults its arrays
+    in again page by page. Only processes dsfnet owns call this: the sweep's
+    workers and the command line. A no-op where the C library has no
+    mallopt (macOS, Windows).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap blocks up to 32 MiB
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: trim only past 1 GiB free
+
+
 # (cfg, dataset, test recordings) of the running sweep, which forked workers
 # inherit; run_sweep sets it for every _sweep_unit call, so is not reentrant.
 _sweep = None
@@ -436,8 +456,8 @@ def run_sweep(cfg: ExperimentConfig, dataset: Dataset, out_path: str,
     try:
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=mp.get_context("fork")
-                                     ) as pool:
+                                     mp_context=mp.get_context("fork"),
+                                     initializer=keep_freed_memory) as pool:
                 per_unit = list(pool.map(_sweep_unit, units))
         else:
             per_unit = list(map(_sweep_unit, units))

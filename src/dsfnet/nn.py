@@ -282,19 +282,23 @@ class LogFloor(Layer):
 
 class AvgPool(Layer):
     """Temporal average pooling with window w and stride s on the last axis,
-    as one product with a (T, n_pool) matrix holding 1/w on each window."""
+    as one product with a (T, n_pool) matrix holding 1/w on each window,
+    built once per input length."""
 
     def __init__(self, width, stride):
         self.width = width
         self.stride = stride
+        self._P = None
 
     def forward(self, x, store, train=False, rng=None):
         T = x.shape[-1]
-        if T < self.width:
-            raise ValueError(f"cannot pool {T} samples with window {self.width}")
-        n_pool = (T - self.width) // self.stride + 1
-        offset = np.arange(T)[:, None] - self.stride * np.arange(n_pool)
-        self._P = ((offset >= 0) & (offset < self.width)) / self.width
+        if self._P is None or len(self._P) != T:
+            if T < self.width:
+                raise ValueError(
+                    f"cannot pool {T} samples with window {self.width}")
+            n_pool = (T - self.width) // self.stride + 1
+            offset = np.arange(T)[:, None] - self.stride * np.arange(n_pool)
+            self._P = ((offset >= 0) & (offset < self.width)) / self.width
         return x @ self._P
 
     def backward(self, dout, store):
@@ -483,7 +487,7 @@ class ShallowNet(Sequential):
     per class."""
 
     def __init__(self, n_channels, n_times, cfg: ShallowNetConfig, store, rng,
-                 n_classes: int = 2):
+                 n_classes: int):
         self.cfg = cfg
         t_conv = n_times - cfg.temporal_kernel + 1
         if t_conv < cfg.pool_width:

@@ -43,13 +43,14 @@ class SynthConfig:
     sensor_noise_std_uv: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.n_channels < 3:
+        if not self.n_channels >= 3:
             raise ValueError("n_channels must be >= 3 so that the three "
                              "sources (two class oscillations and the "
                              "distractor) mix at full rank, got "
                              f"{self.n_channels}")
-        if self.n_times < 128:
-            raise ValueError("need at least 128 samples per window")
+        if not self.n_times >= 128:
+            raise ValueError(f"n_times must be >= 128 samples per window, "
+                             f"got {self.n_times}")
         for name in [f.name for f in fields(self) if f.type is float]:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got "

@@ -33,7 +33,7 @@ def test_config_validation_and_defaults():
         DsfConfig(n_virtual=0)
     with pytest.raises(ValueError):
         DsfConfig(tau=-0.1)
-    for field in ("n_virtual", "tau"):
+    for field in ("n_channels", "n_virtual", "tau"):
         with pytest.raises(ValueError, match=f"^{field} must be >= "):
             DsfConfig(**{field: float("nan")})
     with pytest.raises(ValueError, match="^tau must be >= 0"):

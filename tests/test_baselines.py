@@ -3,6 +3,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dsfnet.baselines import (HANDCRAFTED_NAMES, POWER_BAND_EDGES,
                               RIEMANN_BANDS, LogisticRegression,
@@ -176,6 +177,25 @@ def test_handcrafted_matches_per_channel_reference(rng):
     assert np.array_equal(got[..., ~moments], ref[..., ~moments])
     np.testing.assert_allclose(got[..., moments], ref[..., moments],
                                rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), C=st.integers(1, 3),
+       T=st.integers(1, 40))
+def test_handcrafted_quantiles_match_numpy_bit_for_bit(data, n, C, T):
+    values = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0])
+    X = data.draw(hnp.arrays(np.float64, (n, C, T), elements=values))
+    X[data.draw(hnp.arrays(bool, (n, C, T)))] = np.nan
+    columns = [HANDCRAFTED_NAMES.index(q) for q in ("q10", "q25", "q75",
+                                                     "q90")]
+    got = handcrafted_features(X, 100.0).reshape(n, C, 22)[..., columns]
+    want = np.moveaxis(np.quantile(X, (0.1, 0.25, 0.75, 0.9), axis=-1), 0, -1)
+    # numpy's partition leaves tied zeros in no set order, so the sign of a
+    # zero np.quantile returns varies with it; adding 0.0 maps -0.0 to 0.0
+    # and leaves every other bit pattern as it is.
+    assert np.array_equal((got + 0.0).view(np.uint64),
+                          (want + 0.0).view(np.uint64))
 
 
 def test_zero_crossings_skip_exact_zeros_and_nan():

@@ -496,3 +496,12 @@ def test_taylor_bench_failed_write_leaves_no_temp_file(tmp_path, cfg_path,
               "--out", str(out), "--n-windows", "4", "--terms", "5"])
     assert not out.exists()
     assert list(out.parent.glob("*.tmp")) == []
+
+
+def test_main_sets_the_malloc_policy_once_before_parsing(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(dsfnet.cli, "keep_freed_memory",
+                        lambda: calls.append("policy"))
+    with pytest.raises(SystemExit):
+        main(["no-such-command"])
+    assert calls == ["policy"]

@@ -1,5 +1,10 @@
 import copy
+import multiprocessing as mp
 import pickle
+import platform
+import resource
+import types
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,8 +17,8 @@ from dsfnet.harness import (RANDOM_MASK, RESULT_HEADER, DeepModel,
                             accuracy, balanced_accuracy, cell_seed,
                             class_weight_vector, compute_metric,
                             corrupt_test_recordings, evaluate_cell,
-                            inspect_filters, run_sweep, sweep_units,
-                            train_deep_model, train_model_unit)
+                            inspect_filters, keep_freed_memory, run_sweep,
+                            sweep_units, train_deep_model, train_model_unit)
 from dsfnet.nn import ShallowNetConfig, TrainConfig
 from dsfnet.seeding import derive_seed
 from dsfnet.synth import SynthConfig, generate_dataset, split_dataset
@@ -99,6 +104,15 @@ def test_experiment_config_validation():
         with pytest.raises(ValueError, match=f"^{field} repeats an entry"):
             ExperimentConfig(**{"models": [("dsfd", "none")],
                                 field: repeated})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_seeds", float("nan")), ("count_grid", (float("nan"),)),
+    ("c_prime_grid", (float("nan"),)),
+])
+def test_experiment_config_rejects_nan_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        ExperimentConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +452,49 @@ def test_run_sweep_pool_has_at_most_one_worker_per_unit(tmp_path,
 
     class SpyPool(harness.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
+            sizes.append((max_workers, kwargs["initializer"]))
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
     cfg = sweep_config([("vanilla", "none"), ("riemann", "none")])
     run_sweep(cfg, tiny_dataset(), str(tmp_path / "r.csv"), jobs=8)
-    assert sizes == [2]
+    assert sizes == [(2, keep_freed_memory)]
+
+
+def _second_round_faults() -> int:
+    """Minor page faults of the second of two rounds that each fill and
+    free 40 arrays of 2 MiB, 80 MiB in all."""
+    def fill_and_free():
+        arrays = [np.ones(1 << 18) for _ in range(40)]
+        del arrays
+    fill_and_free()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fill_and_free()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="sets glibc's malloc parameters")
+def test_keep_freed_memory_lets_a_worker_reuse_its_pages():
+    # Without the policy glibc trims the 80 MiB it got back (its trim
+    # threshold never exceeds 64 MiB), and the second round faults all
+    # 20480 pages in again.
+    with ProcessPoolExecutor(1, mp_context=mp.get_context("fork"),
+                             initializer=keep_freed_memory) as pool:
+        faults = pool.submit(_second_round_faults).result(timeout=120)
+    assert faults < 1000
+
+
+def _no_library_by_a_none_name(name):
+    raise TypeError("Windows' ctypes needs a library name")
+
+
+@pytest.mark.parametrize("libc", [lambda name: types.SimpleNamespace(),
+                                  _no_library_by_a_none_name])
+def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch, libc):
+    # A C library with no mallopt (macOS), or no C library to open.
+    monkeypatch.setattr(harness.ctypes, "CDLL", libc)
+    assert keep_freed_memory() is None
 
 
 def test_run_sweep_parent_never_pickles_a_model(tmp_path, monkeypatch):

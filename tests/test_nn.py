@@ -197,14 +197,16 @@ def test_spatial_conv_forward_oracle(rng):
 
 def test_avg_pool_matches_naive(rng):
     layer = AvgPool(4, 2)
-    x = rng.normal(size=(2, 3, 11))
-    out = layer.forward(x, None)
-    n_pool = (11 - 4) // 2 + 1
-    assert out.shape == (2, 3, n_pool)
-    for p in range(n_pool):
-        np.testing.assert_allclose(out[..., p],
-                                   x[..., 2 * p:2 * p + 4].mean(axis=-1),
-                                   rtol=1e-14, atol=0)
+    # The pooling matrix is built per input length: a new length rebuilds it.
+    for T in (11, 9, 11):
+        x = rng.normal(size=(2, 3, T))
+        out = layer.forward(x, None)
+        n_pool = (T - 4) // 2 + 1
+        assert out.shape == (2, 3, n_pool)
+        for p in range(n_pool):
+            np.testing.assert_allclose(out[..., p],
+                                       x[..., 2 * p:2 * p + 4].mean(axis=-1),
+                                       rtol=1e-14, atol=0)
     with pytest.raises(ValueError):
         layer.forward(np.zeros((1, 1, 3)), None)
 
@@ -300,7 +302,7 @@ def test_shallow_net_gradients_finite_difference():
     cfg = ShallowNetConfig(n_temporal_filters=2, temporal_kernel=3,
                            n_spatial_filters=2, pool_width=4, pool_stride=2,
                            dropout_rate=0.0)
-    net = ShallowNet(2, 12, cfg, store, rng)
+    net = ShallowNet(2, 12, cfg, store, rng, n_classes=2)
     x = rng.normal(size=(3, 2, 12))
     y = np.array([0, 1, 0])
     w = np.ones(2)
@@ -408,12 +410,12 @@ def test_fresh_vanilla_model_keeps_parameter_names_shapes_and_draws(tmp_path):
 def test_shallow_net_rejects_too_short_input(rng):
     store = ParamStore()
     with pytest.raises(ValueError, match="pool width"):
-        ShallowNet(2, 30, ShallowNetConfig(), store, rng)
+        ShallowNet(2, 30, ShallowNetConfig(), store, rng, n_classes=2)
 
 
 def test_shallow_net_output_shape(rng):
     store = ParamStore()
-    net = ShallowNet(6, 600, ShallowNetConfig(), store, rng)
+    net = ShallowNet(6, 600, ShallowNetConfig(), store, rng, n_classes=2)
     out = net.forward(rng.normal(size=(4, 6, 600)), store)
     assert out.shape == (4, 2)
 

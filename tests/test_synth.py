@@ -37,6 +37,7 @@ def test_config_validation():
     ("distractor_freq", float("nan")),
     ("class_freqs", (float("nan"), 20.0)), ("class_freqs", (10.0, -math.inf)),
     ("class_freqs", (10.0,)), ("mixing_seed", -1),
+    ("n_channels", float("nan")), ("n_times", float("nan")),
 ])
 def test_config_rejects_values_that_break_generation(field, value):
     with pytest.raises(ValueError, match=field):

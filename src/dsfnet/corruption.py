@@ -42,6 +42,16 @@ class CorruptionSpec:
         if self.forced_count is not None and self.forced_count < 0:
             raise ValueError(
                 f"forced_count must be >= 0, got {self.forced_count}")
+        if self.forced_mask is not None:
+            if self.forced_count is not None:
+                raise ValueError("set forced_mask or forced_count, not both")
+            mask = np.asarray(self.forced_mask, dtype=np.float64)
+            if mask.ndim != 1:
+                raise ValueError(f"forced_mask must be 1-D, got shape "
+                                 f"{mask.shape}")
+            if not ((mask == 0.0) | (mask == 1.0)).all():
+                raise ValueError(f"forced_mask entries must be 0 or 1, got "
+                                 f"{mask.tolist()}")
 
 
 def sample_mask(C: int, p: float, rng: np.random.Generator) -> NDArray:
@@ -59,19 +69,24 @@ def corrupt_window(X: NDArray, nu: NDArray, eta: float, sigma_uv: float,
     Z ~ N(0, sigma^2). Unmasked channels come out bit-identical; with
     eta = 0 the whole window does.
     """
-    X = np.asarray(X, dtype=np.float64)
-    nu = np.asarray(nu, dtype=np.float64)
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must be in [0, 1]")
     if not sigma_uv > 0:
         raise ValueError("sigma must be positive")
-    masked = nu > 0
-    if eta == 0.0 or not masked.any():
-        return X.copy()
-    out = X.copy()
-    Z = rng.normal(0.0, sigma_uv, size=(int(masked.sum()), X.shape[1]))
-    out[masked] = (1.0 - eta) * X[masked] + eta * Z
+    out = np.array(X, dtype=np.float64)
+    _mix_noise(out, np.asarray(nu, dtype=np.float64) > 0, eta, sigma_uv, rng)
     return out
+
+
+def _mix_noise(X: NDArray, masked: NDArray, eta: float, sigma_uv: float,
+               rng: np.random.Generator) -> None:
+    """In place, X[masked] = (1 - eta) X[masked] + eta Z with Z drawn from
+    rng as N(0, sigma^2); at eta = 0 or with no row masked, draws nothing.
+    Callers check eta and sigma."""
+    if eta == 0.0 or not masked.any():
+        return
+    Z = rng.normal(0.0, sigma_uv, size=(int(masked.sum()), X.shape[1]))
+    X[masked] = (1.0 - eta) * X[masked] + eta * Z
 
 
 def _draw_params(spec: CorruptionSpec, rng: np.random.Generator
@@ -92,14 +107,13 @@ def augment_batch(batch: NDArray, spec: CorruptionSpec, master_seed: int,
     """
     if spec.scope != "per_window":
         raise ValueError("augment_batch needs scope='per_window'")
-    batch = np.asarray(batch, dtype=np.float64)
-    out = np.empty_like(batch)
-    C = batch.shape[1]
-    for i, X in enumerate(batch):
+    out = np.array(batch, dtype=np.float64)
+    C = out.shape[1]
+    for i, X in enumerate(out):
         rng = rng_for(master_seed, index_offset + i)
-        nu = draw_mask(C, spec, rng)
+        masked = draw_mask(C, spec, rng) > 0
         eta, sigma = _draw_params(spec, rng)
-        out[i] = corrupt_window(X, nu, eta, sigma, rng)
+        _mix_noise(X, masked, eta, sigma, rng)
     return out
 
 
@@ -128,14 +142,13 @@ def corrupt_recording(windows: NDArray, spec: CorruptionSpec,
     Every draw comes from the one rng, in window order."""
     if spec.scope != "per_recording":
         raise ValueError("corrupt_recording needs scope='per_recording'")
-    windows = np.asarray(windows, dtype=np.float64)
-    if len(windows) == 0:
+    out = np.array(windows, dtype=np.float64)
+    if len(out) == 0:
         raise ValueError("recording has no windows")
-    nu = draw_mask(windows.shape[1], spec, rng)
-    out = np.empty_like(windows)
-    for i, X in enumerate(windows):
+    masked = draw_mask(out.shape[1], spec, rng) > 0
+    for X in out:
         eta, sigma = _draw_params(spec, rng)
-        out[i] = corrupt_window(X, nu, eta, sigma, rng)
+        _mix_noise(X, masked, eta, sigma, rng)
     return out
 
 

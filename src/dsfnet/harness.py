@@ -204,9 +204,12 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
                      denoise: str, seed: int,
                      aug_spec: CorruptionSpec = CorruptionSpec()) -> TrainLog:
     """Train with AdamW + cosine annealing and early stopping on the
-    validation loss; restores the best-validation-loss parameters."""
-    X_train, y_train = dataset.windows_and_labels("train")
-    X_valid, y_valid = dataset.windows_and_labels("valid")
+    validation loss; restores the best-validation-loss parameters.
+
+    Each batch is stacked from views into the recordings, so the splits are
+    never copied whole."""
+    X_train, y_train = dataset.window_views("train")
+    X_valid, y_valid = dataset.window_views("valid")
     weights = class_weight_vector(y_train, model.n_classes)
 
     n = len(X_train)
@@ -231,7 +234,7 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch = X_train[idx]
+            batch = np.stack([X_train[i] for i in idx])
             if denoise == "augmentation":
                 batch = augment_batch(batch, aug_spec,
                                       derive_seed(seed, 3, epoch),
@@ -249,10 +252,10 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
         valid_loss = 0.0
         for start in range(0, len(X_valid), cfg.batch_size):
             sl = slice(start, start + cfg.batch_size)
-            logits = model.forward(X_valid[sl])
+            logits = model.forward(np.stack(X_valid[sl]))
             loss, _ = loss_of(logits, y_valid[sl], "validation",
                               start // cfg.batch_size)
-            valid_loss += loss * len(X_valid[sl])
+            valid_loss += loss * len(logits)
         valid_loss /= len(X_valid)
         valid_losses.append(valid_loss)
 
@@ -381,7 +384,9 @@ def evaluate_cell(model, recordings: list[Recording],
 
 def train_model_unit(cfg: ExperimentConfig, dataset: Dataset, name: str,
                      denoise: str, seed: int, c_prime: int | None = None):
-    """Train one (model, denoise) unit for one seed."""
+    """Train one (model, denoise) unit for one seed, under the allocator
+    policy of keep_freed_memory in whatever process calls it."""
+    keep_freed_memory()
     ds_cfg = dataset.config
     aug = CorruptionSpec(sigma_range_uv=cfg.sigma_range_uv)
     if name in FEATURE_MODELS:
@@ -400,9 +405,10 @@ def keep_freed_memory() -> None:
 
     By default glibc unmaps each freed large array and returns the free
     top of its heap to the kernel, so every training step faults its arrays
-    in again page by page. Only processes dsfnet owns call this: the sweep's
-    workers and the command line. A no-op where the C library has no
-    mallopt (macOS, Windows).
+    in again page by page. train_model_unit calls this, so the policy holds
+    in every process that trains: sweep workers, the command line and
+    library callers alike. A no-op where the C library has no mallopt
+    (macOS, Windows).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -455,9 +461,8 @@ def run_sweep(cfg: ExperimentConfig, dataset: Dataset, out_path: str,
     _sweep = (cfg, dataset, test_recs)
     try:
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=mp.get_context("fork"),
-                                     initializer=keep_freed_memory) as pool:
+            fork = mp.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
                 per_unit = list(pool.map(_sweep_unit, units))
         else:
             per_unit = list(map(_sweep_unit, units))

@@ -98,13 +98,20 @@ class Dataset:
     def split(self, tag: str) -> list[Recording]:
         return [r for r in self.recordings if self.splits.get(r.id) == tag]
 
-    def windows_and_labels(self, tag: str) -> tuple[NDArray, NDArray]:
+    def window_views(self, tag: str) -> tuple[list[NDArray], NDArray]:
+        """Every window of a split, in recording order, as a view into its
+        recording (nothing is copied), and the windows' labels."""
         recs = self.split(tag)
         if not recs:
             raise ValueError(f"split {tag!r} is empty")
-        X = np.concatenate([r.windows for r in recs])
+        views = [w for r in recs for w in r.windows]
         y = np.concatenate([np.full(len(r.windows), r.label) for r in recs])
-        return X, y
+        return views, y
+
+    def windows_and_labels(self, tag: str) -> tuple[NDArray, NDArray]:
+        """The split's windows copied into one (n, C, T) array."""
+        views, y = self.window_views(tag)
+        return np.stack(views), y
 
 
 def mixing_matrix(cfg: SynthConfig) -> NDArray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsfnet.corruption import (CorruptionSpec, augment_batch,
                                corrupt_recording, corrupt_window,
@@ -104,6 +106,25 @@ def test_recording_mask_forced_count(rng):
         draw_mask(2, spec, rng)
 
 
+@pytest.mark.parametrize("entry", [0.5, 2.0, float("nan")])
+def test_spec_rejects_forced_mask_entries_other_than_0_and_1(entry):
+    # Before, 0.5 and 2.0 corrupted the channel fully and NaN left it clean.
+    with pytest.raises(ValueError, match="forced_mask entries must be 0 or 1"):
+        CorruptionSpec(forced_mask=np.array([1.0, entry, 0.0]))
+
+
+def test_spec_rejects_a_forced_mask_that_is_not_1d():
+    with pytest.raises(ValueError,
+                       match=r"forced_mask must be 1-D, got shape \(2, 3\)"):
+        CorruptionSpec(forced_mask=np.ones((2, 3)), scope="per_recording")
+
+
+def test_spec_rejects_forced_mask_and_forced_count_together():
+    # Before, the count was silently ignored.
+    with pytest.raises(ValueError, match="forced_mask or forced_count"):
+        CorruptionSpec(forced_mask=np.ones(3), forced_count=1)
+
+
 def test_spec_rejects_negative_forced_count():
     with pytest.raises(ValueError, match="forced_count must be >= 0, got -3"):
         CorruptionSpec(forced_count=-3, scope="per_recording")
@@ -155,6 +176,69 @@ def test_augment_batch_default_spec_matches_per_window_reference():
         want[i] = corrupt_window(X, nu, eta, sigma, wrng)
     got = augment_batch(batch, spec, master_seed=11, index_offset=3)
     assert got.tobytes() == want.tobytes()
+
+
+def window_by_window_corrupt(X, nu, eta, sigma_uv, rng):
+    """corrupt_window as it was before it mixed in place: the oracle."""
+    X = np.asarray(X, dtype=np.float64)
+    masked = np.asarray(nu, dtype=np.float64) > 0
+    if eta == 0.0 or not masked.any():
+        return X.copy()
+    out = X.copy()
+    Z = rng.normal(0.0, sigma_uv, size=(int(masked.sum()), X.shape[1]))
+    out[masked] = (1.0 - eta) * X[masked] + eta * Z
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta_range=st.sampled_from([(0.5, 0.5), (1.0, 1.0), (0.0, 1.0),
+                                  (0.3, 0.8), (0.0, 0.0)]),
+       sigma_range=st.sampled_from([(20.0, 50.0), (30.0, 30.0)]),
+       p=st.sampled_from([0.0, 0.5, 1.0]),
+       count=st.sampled_from([None, 0, 2, 6]),
+       n_win=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_corruption_matches_window_by_window_oracle(eta_range, sigma_range,
+                                                    p, count, n_win, seed):
+    windows = np.random.default_rng(seed).normal(0.0, 10.0,
+                                                 size=(n_win, 6, 64))
+    kw = dict(p=p, eta_range=eta_range, sigma_range_uv=sigma_range,
+              forced_count=count)
+    # Per window: each window its own rng, mask, eta, sigma, then noise.
+    spec = CorruptionSpec(**kw)
+    want = np.empty_like(windows)
+    for i, X in enumerate(windows):
+        rng = rng_for(seed, 2 + i)
+        nu = draw_mask(6, spec, rng)
+        eta, sigma = _draw_params(spec, rng)
+        want[i] = window_by_window_corrupt(X, nu, eta, sigma, rng)
+    got = augment_batch(windows, spec, seed, index_offset=2)
+    assert got.tobytes() == want.tobytes()
+    # Per recording: one mask, then eta, sigma and noise window by window.
+    spec = CorruptionSpec(scope="per_recording", **kw)
+    rng = rng_for(seed, 1)
+    nu = draw_mask(6, spec, rng)
+    for i, X in enumerate(windows):
+        eta, sigma = _draw_params(spec, rng)
+        want[i] = window_by_window_corrupt(X, nu, eta, sigma, rng)
+    got = corrupt_recording(windows, spec, rng_for(seed, 1))
+    assert got.tobytes() == want.tobytes()
+    # One window.
+    eta, sigma = eta_range[1], sigma_range[0]
+    got = corrupt_window(windows[0], nu, eta, sigma, rng_for(seed, 3))
+    want = window_by_window_corrupt(windows[0], nu, eta, sigma,
+                                    rng_for(seed, 3))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_corruption_leaves_its_input_unchanged():
+    windows = np.random.default_rng(5).normal(size=(4, 3, 300))
+    before = windows.copy()
+    out = augment_batch(windows, CorruptionSpec(p=1.0), 0)
+    assert not np.array_equal(out, windows)
+    corrupt_recording(windows, CorruptionSpec(p=1.0, scope="per_recording"),
+                      rng_for(0, 1))
+    corrupt_window(windows[0], np.ones(3), 1.0, 30.0, rng_for(0, 2))
+    assert windows.tobytes() == before.tobytes()
 
 
 def test_corrupt_recording_shares_one_mask():

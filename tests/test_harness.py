@@ -3,6 +3,7 @@ import multiprocessing as mp
 import pickle
 import platform
 import resource
+import tracemalloc
 import types
 from concurrent.futures import ProcessPoolExecutor
 
@@ -20,8 +21,8 @@ from dsfnet.harness import (RANDOM_MASK, RESULT_HEADER, DeepModel,
                             inspect_filters, keep_freed_memory, run_sweep,
                             sweep_units, train_deep_model, train_model_unit)
 from dsfnet.nn import ShallowNetConfig, TrainConfig
-from dsfnet.seeding import derive_seed
-from dsfnet.synth import SynthConfig, generate_dataset, split_dataset
+from dsfnet.seeding import derive_seed, rng_for
+from dsfnet.synth import Dataset, SynthConfig, generate_dataset, split_dataset
 
 TINY_NET = ShallowNetConfig(n_temporal_filters=2, temporal_kernel=9,
                             n_spatial_filters=2, pool_width=20, pool_stride=10)
@@ -271,6 +272,68 @@ def test_early_stopping_restores_the_best_epochs_values_exactly():
         np.testing.assert_array_equal(got, want)
 
 
+def test_training_never_copies_a_split(monkeypatch):
+    def copy_of_split(self, tag):
+        raise AssertionError(f"copied the {tag!r} split")
+    monkeypatch.setattr(Dataset, "windows_and_labels", copy_of_split)
+    model = DeepModel("vanilla", 3, 128, TINY_NET, seed=1)
+    log = train_deep_model(model, tiny_dataset(), TINY_TRAIN, "none", seed=1)
+    assert len(log.train_losses) == TINY_TRAIN.max_epochs
+
+
+def test_training_without_a_validation_split_names_it():
+    ds = tiny_dataset()
+    ds = Dataset(config=ds.config, recordings=ds.recordings,
+                 splits={i: t for i, t in ds.splits.items() if t != "valid"})
+    model = DeepModel("vanilla", 3, 128, TINY_NET, seed=1)
+    with pytest.raises(ValueError, match="split 'valid' is empty"):
+        train_deep_model(model, ds, TINY_TRAIN, "none", seed=1)
+
+
+def test_training_batches_are_the_split_rows_in_batch_order():
+    # 18 train windows at batch size 16: a full and a partial batch.
+    ds = tiny_dataset()
+    X_train, _ = ds.windows_and_labels("train")
+    X_valid, _ = ds.windows_and_labels("valid")
+    model = DeepModel("vanilla", 3, 128, TINY_NET, seed=5)
+    forward = model.forward
+    seen = []
+
+    def spy(X, train=False, rng=None):
+        seen.append((train, X.shape, X.tobytes()))
+        return forward(X, train=train, rng=rng)
+    model.forward = spy
+    log = train_deep_model(model, ds, TINY_TRAIN, "none", seed=5)
+    bs = TINY_TRAIN.batch_size
+    want = []
+    for epoch in range(len(log.train_losses)):
+        order = rng_for(5, 1, epoch).permutation(len(X_train))
+        for rows in (order[s:s + bs] for s in range(0, len(X_train), bs)):
+            want.append((True, X_train[rows].shape, X_train[rows].tobytes()))
+        for s in range(0, len(X_valid), bs):
+            rows = X_valid[s:s + bs]
+            want.append((False, rows.shape, rows.tobytes()))
+    assert seen == want
+
+
+def test_training_peak_memory_stays_below_the_train_split():
+    cfg = SynthConfig(n_channels=3, n_times=128, n_recordings=40,
+                      windows_per_recording=10)
+    ds = split_dataset(generate_dataset(cfg, 0), (0.6, 0.2, 0.2), 0)
+    X_train, _ = ds.windows_and_labels("train")
+    assert len(X_train) == 240
+    model = DeepModel("vanilla", 3, 128, TINY_NET, seed=1)
+    tracemalloc.start()
+    try:
+        train_deep_model(model, ds, TrainConfig(max_epochs=1, patience=1,
+                                                t_max=1, batch_size=4),
+                         "none", seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < X_train.nbytes
+
+
 # ---------------------------------------------------------------------------
 # Feature models, cells and the sweep
 
@@ -452,13 +515,13 @@ def test_run_sweep_pool_has_at_most_one_worker_per_unit(tmp_path,
 
     class SpyPool(harness.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
-            sizes.append((max_workers, kwargs["initializer"]))
+            sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
     cfg = sweep_config([("vanilla", "none"), ("riemann", "none")])
     run_sweep(cfg, tiny_dataset(), str(tmp_path / "r.csv"), jobs=8)
-    assert sizes == [(2, keep_freed_memory)]
+    assert sizes == [2]
 
 
 def _second_round_faults() -> int:
@@ -579,6 +642,16 @@ def test_train_model_unit_dispatch():
     assert isinstance(model, DeepModel) and log is not None
     model, log = train_model_unit(cfg, ds, "handcrafted", "none", seed=1)
     assert isinstance(model, FeatureModel) and log is None
+
+
+@pytest.mark.parametrize("name", ["vanilla", "riemann"])
+def test_train_model_unit_sets_the_malloc_policy_once(monkeypatch, name):
+    calls = []
+    monkeypatch.setattr(harness, "keep_freed_memory",
+                        lambda: calls.append(name))
+    train_model_unit(sweep_config([(name, "none")]), tiny_dataset(), name,
+                     "none", seed=1)
+    assert calls == [name]
 
 
 # ---------------------------------------------------------------------------

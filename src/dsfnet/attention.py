@@ -13,9 +13,12 @@ from numpy.typing import NDArray
 
 from .nn import (Dense, Layer, ParamStore, Sequential, Sigmoid,
                  _check_positive_ints)
-from .spatial import compute_summary, phi_length
+from .spatial import SUMMARIES, compute_summary
 
-VARIANTS = ("dsfd", "dsfm", "dsfm_st")
+# name -> (summary kind, whether the filters are soft-thresholded)
+VARIANTS = {"dsfd": ("log_variance", False),
+            "dsfm": ("logm_covariance", False),
+            "dsfm_st": ("logm_covariance", True)}
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,7 @@ class DsfConfig:
 
     @property
     def summary_kind(self) -> str:
-        return "log_variance" if self.variant == "dsfd" else "logm_covariance"
+        return VARIANTS[self.variant][0]
 
     @property
     def hidden_size(self) -> int:
@@ -42,11 +45,11 @@ class DsfConfig:
 
     @property
     def summary_length(self) -> int:
-        return phi_length(self.summary_kind, self.n_channels)
+        return SUMMARIES[self.summary_kind][1](self.n_channels)
 
     @property
     def thresholded(self) -> bool:
-        return self.variant == "dsfm_st"
+        return VARIANTS[self.variant][1]
 
 
 def soft_threshold(W: NDArray, tau: float) -> NDArray:

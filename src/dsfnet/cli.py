@@ -13,10 +13,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from .attention import VARIANTS
 from .binio import write_csv
 from .config import load_experiment_config
-from .harness import (DEEP_MODELS, DSF_MODELS, RANDOM_MASK, _cell_spec,
-                      cell_seed, inspect_filters, run_sweep, sweep_units,
+from .harness import (DEEP_MODELS, RANDOM_MASK, _cell_spec, cell_seed,
+                      inspect_filters, run_sweep, sweep_units,
                       train_model_unit)
 from .linalg import matrix_log_eig, matrix_log_taylor, oas_shrink, \
     sample_covariance
@@ -24,9 +25,18 @@ from .synth import generate_dataset, load_dataset, save_dataset, \
     split_dataset
 
 
+def _seed(text: str) -> int:
+    # derive_seed keeps 64 bits, so a seed outside them would alias another.
+    if not (text.isdecimal() and int(text) < 2**64):
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, 2**64), got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="experiment config file")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument("--seed", type=_seed, default=0,
+                        help="master seed, an integer in [0, 2**64)")
     parser.add_argument("--out", required=True, help="output path")
 
 
@@ -77,8 +87,10 @@ def cmd_sweep(args) -> int:
 def cmd_inspect(args) -> int:
     if not 0.0 <= args.eta <= 1.0:
         raise ValueError(f"--eta must be in [0, 1], got {args.eta}")
-    sweep_cfg, unit = _first_unit(args, DSF_MODELS, "DSF-family model")
+    sweep_cfg, unit = _first_unit(args, VARIANTS, "DSF-family model")
     ds = load_dataset(args.dataset)
+    if not ds.split("test"):
+        raise ValueError(f"{args.dataset}: dataset has no test split")
     C = ds.config.n_channels
     if args.n_corrupted is not None and not 0 <= args.n_corrupted <= C:
         raise ValueError(f"--n-corrupted must be in [0, {C}] for a "

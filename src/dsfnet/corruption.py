@@ -35,8 +35,9 @@ class CorruptionSpec:
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValueError("eta range must lie inside [0, 1]")
         slo, shi = self.sigma_range_uv
-        if not (0.0 < slo <= shi):
-            raise ValueError("sigma range must be positive")
+        if not 0.0 < slo <= shi < np.inf:
+            raise ValueError(f"sigma_range_uv must satisfy 0 < lo <= hi < inf"
+                             f", got {self.sigma_range_uv}")
         if self.scope not in ("per_window", "per_recording"):
             raise ValueError(f"unknown scope: {self.scope!r}")
         if self.forced_count is not None and self.forced_count < 0:
@@ -71,8 +72,8 @@ def corrupt_window(X: NDArray, nu: NDArray, eta: float, sigma_uv: float,
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must be in [0, 1]")
-    if not sigma_uv > 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma_uv < np.inf:
+        raise ValueError("sigma must be positive and finite")
     out = np.array(X, dtype=np.float64)
     _mix_noise(out, np.asarray(nu, dtype=np.float64) > 0, eta, sigma_uv, rng)
     return out

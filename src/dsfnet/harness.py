@@ -31,8 +31,7 @@ from .nn import (ParamStore, Sequential, ShallowNet, ShallowNetConfig,
 from .seeding import derive_seed, rng_for
 from .synth import Dataset, Recording, SynthConfig
 
-DSF_MODELS = VARIANTS
-DEEP_MODELS = ("vanilla",) + VARIANTS + INTERP_KINDS
+DEEP_MODELS = ("vanilla",) + tuple(VARIANTS) + INTERP_KINDS
 FEATURE_MODELS = ("riemann", "handcrafted")
 MODEL_NAMES = DEEP_MODELS + FEATURE_MODELS
 
@@ -92,9 +91,7 @@ class ExperimentConfig:
         _check_positive_ints(self, ("n_seeds",))
         if not 0.0 <= self.mask_p <= 1.0:
             raise ValueError("mask_p must lie inside [0, 1]")
-        lo, hi = self.sigma_range_uv
-        if not 0.0 < lo <= hi:
-            raise ValueError("sigma_range_uv must satisfy 0 < lo <= hi")
+        CorruptionSpec(sigma_range_uv=self.sigma_range_uv)  # checks it
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric: {self.metric!r}")
         if not self.dsf_tau >= 0.0:
@@ -150,7 +147,7 @@ class DeepModel:
         rng = rng_for(seed, 0xD5F)
         self.front: DsfModule | InterpModule | None = None
         self.c_prime = 0  # virtual channel count; 0 without a DSF front end
-        if name in DSF_MODELS:
+        if name in VARIANTS:
             self.c_prime = c_prime or n_channels
             self.front = DsfModule(
                 DsfConfig(variant=name, n_channels=n_channels,
@@ -172,7 +169,10 @@ class DeepModel:
         self.chain.backward(dlogits, self.store)
 
     def predict_proba(self, X: NDArray) -> NDArray:
-        return softmax(self.forward(X))
+        logits = self.forward(X)
+        if not np.isfinite(logits).all():
+            raise ValueError(f"{self.name}: logits contain non-finite values")
+        return softmax(logits)
 
     def predict_recording(self, windows: NDArray) -> int:
         """Argmax of the mean window probabilities; ties go to the lowest
@@ -352,7 +352,7 @@ def sweep_units(cfg: ExperimentConfig) -> list[tuple]:
     k is seeded derive_seed(master_seed, 100 + k), and c_prime None is C."""
     return [(name, denoise, derive_seed(cfg.master_seed, 100 + k), c_prime)
             for name, denoise in cfg.models
-            for c_prime in (name in DSF_MODELS and cfg.c_prime_grid or (None,))
+            for c_prime in (name in VARIANTS and cfg.c_prime_grid or (None,))
             for k in range(cfg.n_seeds)]
 
 
@@ -492,7 +492,7 @@ def inspect_filters(model: DeepModel, recordings: list[Recording],
     with the same spec and cell seed. The dump has one CSV row per
     window: its index, then W, b and phi flattened.
     """
-    if model.name not in DSF_MODELS:
+    if model.name not in VARIANTS:
         raise ValueError(f"{model.name!r} is not a DSF-family model")
     recordings = corrupt_test_recordings(recordings, spec, cell_seed)
     module = model.front

@@ -13,7 +13,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .nn import Dense, Layer, ParamStore, Sequential, Sigmoid
-from .spatial import compute_summary, phi_length
+from .spatial import SUMMARIES, compute_summary
 
 INTERP_KINDS = ("interp_only", "scalar", "vector", "dynamic")
 
@@ -58,7 +58,7 @@ class InterpModule(Layer):
             store.add(self.w_name, np.where(self.offdiag, 1.0 / (C - 1), 0.0))
 
         if kind != "interp_only":
-            d_phi = phi_length(SUMMARY_KIND, C)
+            d_phi = SUMMARIES[SUMMARY_KIND][1](C)
             out_dim = {"scalar": 1, "vector": C, "dynamic": C * C}[kind]
             self.mlp = Sequential([
                 Dense("interp.fc1", d_phi, C * C, store, rng),

@@ -33,18 +33,12 @@ def phi_logm_cov(X: NDArray) -> NDArray:
     return vec_upper(matrix_log_eig(S))
 
 
-def phi_length(kind: str, n_channels: int) -> int:
-    """Length of the summary vector for a given kind and channel count."""
-    if kind == "log_variance":
-        return n_channels
-    if kind == "logm_covariance":
-        return n_channels * (n_channels + 1) // 2
-    raise ValueError(f"unknown summary kind: {kind!r}")
+# kind -> (function, summary length for C channels). No function that
+# perfbench's layer trace wraps may sit here: the trace rebinds module
+# globals at run time, and an entry captured at import would skip it.
+SUMMARIES = {"log_variance": (phi_logvar, lambda C: C),
+             "logm_covariance": (phi_logm_cov, lambda C: C * (C + 1) // 2)}
 
 
 def compute_summary(kind: str, X: NDArray) -> NDArray:
-    if kind == "log_variance":
-        return phi_logvar(X)
-    if kind == "logm_covariance":
-        return phi_logm_cov(X)
-    raise ValueError(f"unknown summary kind: {kind!r}")
+    return SUMMARIES[kind][0](X)

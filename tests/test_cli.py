@@ -18,7 +18,8 @@ from dsfnet.harness import (RANDOM_MASK, _cell_spec, cell_seed,
                             corrupt_test_recordings, evaluate_cell,
                             inspect_filters)
 from dsfnet.nn import ParamStore
-from dsfnet.synth import generate_dataset, load_dataset
+from dsfnet.synth import (generate_dataset, load_dataset, save_dataset,
+                          split_dataset)
 
 TINY_CFG = """
 [data]
@@ -350,6 +351,55 @@ def test_truncated_dataset_fails_in_one_line(tmp_path, cfg_path, dataset_path,
     err = done.stderr.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {short}: truncated at byte offset")
+
+
+def test_sweep_rejects_non_finite_outputs_in_one_line(tmp_path, cfg_path,
+                                                     dataset_path, capsys):
+    # Noise of 1e200 overflows the classifier at eta = 1, where an argmax
+    # over NaN probabilities would pick class 0.
+    path = tmp_path / "huge.cfg"
+    path.write_text(Path(cfg_path()).read_text()
+                    + "sigma_range_uv = 1e200, 1e200\n")
+    out = tmp_path / "results.csv"
+    assert main(["sweep", "--config", str(path), "--dataset", dataset_path,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: vanilla: logits contain non-finite values"]
+    assert not out.exists()
+
+
+def test_inspect_rejects_a_dataset_without_test_split_before_training(
+        tmp_path, cfg_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a unit")
+    monkeypatch.setattr(dsfnet.cli, "train_model_unit", no_training)
+    data_cfg, _ = load_experiment_config(cfg_path())
+    data = str(tmp_path / "no_test.bin")
+    save_dataset(split_dataset(generate_dataset(data_cfg, 0),
+                               (0.5, 0.5, 0.0), 0), data)
+    out = tmp_path / "f.csv"
+    assert main(["inspect", "--config", cfg_path("dsfm_st:none"),
+                 "--dataset", data, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {data}: dataset has no test split"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5"])
+@pytest.mark.parametrize("command", ["gen", "train", "sweep", "inspect",
+                                     "taylor-bench"])
+def test_seed_outside_64_bits_is_rejected(tmp_path, command, seed, capsys):
+    # derive_seed keeps 64 bits, so 2**64 + 1 would reuse seed 1's streams.
+    out = tmp_path / "out"
+    argv = [command, "--seed", seed, "--out", str(out)]
+    if command in ("train", "sweep", "inspect"):
+        argv += ["--dataset", str(tmp_path / "data.bin")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --seed: must be an integer in [0, 2**64)" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

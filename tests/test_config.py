@@ -149,6 +149,7 @@ def test_every_field_but_the_nested_configs_has_a_parser():
     ("sweep", "mask_p = 1.5"),
     ("sweep", "sigma_range_uv = 5"),     # a pair takes two values
     ("sweep", "sigma_range_uv = 50, 20"),
+    ("sweep", "sigma_range_uv = 20, inf"),
     ("data", "class_freqs = 10"),
     ("train", "batch_size = -1"),
     ("train", "max_epochs = 0\npatience = 0"),

@@ -17,6 +17,8 @@ def test_spec_validation():
         CorruptionSpec(eta_range=(0.8, 0.2))
     with pytest.raises(ValueError):
         CorruptionSpec(sigma_range_uv=(0.0, 10.0))
+    with pytest.raises(ValueError, match="^sigma_range_uv must satisfy"):
+        CorruptionSpec(sigma_range_uv=(20.0, np.inf))
     with pytest.raises(ValueError):
         CorruptionSpec(scope="sometimes")
 
@@ -75,8 +77,9 @@ def test_corrupt_window_validation(rng):
         corrupt_window(X, np.ones(2), 1.5, 30.0, rng)
     with pytest.raises(ValueError):
         corrupt_window(X, np.ones(2), 0.5, 0.0, rng)
-    with pytest.raises(ValueError, match="sigma must be positive"):
-        corrupt_window(X, np.ones(2), 0.5, float("nan"), rng)
+    for sigma in (float("nan"), np.inf):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            corrupt_window(X, np.ones(2), 0.5, sigma, rng)
 
 
 def test_augment_batch_is_batching_invariant():

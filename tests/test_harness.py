@@ -140,6 +140,13 @@ def test_deep_model_rejects_feature_names():
         DeepModel("riemann", 3, 128, TINY_NET, seed=0)
 
 
+def test_predict_recording_rejects_non_finite_logits():
+    model = DeepModel("dsfd", 3, 128, TINY_NET, seed=0)
+    model.forward = lambda X: np.full((len(X), 2), np.inf)
+    with pytest.raises(ValueError, match="^dsfd: logits contain non-finite"):
+        model.predict_recording(np.zeros((3, 3, 128)))
+
+
 def test_predict_recording_tie_goes_to_lowest_class():
     model = DeepModel("vanilla", 3, 128, TINY_NET, seed=0)
     model.predict_proba = lambda X: np.full((len(X), 2), 0.5)

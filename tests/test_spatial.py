@@ -1,9 +1,10 @@
 import numpy as np
-import pytest
 
+from dsfnet.attention import VARIANTS, DsfConfig, DsfModule, dsf_param_count
 from dsfnet.linalg import (matrix_log_eig, oas_shrink, sample_covariance,
                            vec_upper)
-from dsfnet.spatial import (compute_summary, phi_length, phi_logm_cov,
+from dsfnet.nn import ParamStore
+from dsfnet.spatial import (SUMMARIES, compute_summary, phi_logm_cov,
                             phi_logvar)
 
 
@@ -39,19 +40,17 @@ def test_phi_logm_cov_survives_flat_and_duplicate_channels(rng):
     assert values.shape == (10,)
 
 
-def test_phi_length():
-    assert phi_length("log_variance", 6) == 6
-    assert phi_length("logm_covariance", 6) == 21
-    assert phi_length("logm_covariance", 4) == 10
-    with pytest.raises(ValueError):
-        phi_length("nope", 4)
-
-
-def test_compute_summary_dispatch(rng):
-    X = rng.normal(size=(3, 128))
-    np.testing.assert_array_equal(
-        compute_summary("log_variance", X), phi_logvar(X))
-    np.testing.assert_array_equal(
-        compute_summary("logm_covariance", X), phi_logm_cov(X))
-    with pytest.raises(ValueError):
-        compute_summary("nope", X)
+def test_summary_table_lengths_and_variant_table_readers(rng):
+    for kind, (phi, length) in SUMMARIES.items():
+        for C in range(3, 9):
+            X = rng.normal(size=(2, C, 64))
+            out = compute_summary(kind, X)
+            np.testing.assert_array_equal(out, phi(X))
+            assert out.shape == (2, length(C))
+    for name, (kind, thresholded) in VARIANTS.items():
+        cfg = DsfConfig(variant=name, n_channels=5, n_virtual=3)
+        assert (cfg.summary_kind, cfg.thresholded) == (kind, thresholded)
+        assert cfg.summary_length == SUMMARIES[kind][1](5)
+        store = ParamStore()
+        DsfModule(cfg, store, rng)
+        assert dsf_param_count(cfg) == store.n_parameters()

@@ -25,6 +25,25 @@ def test_every_traced_name_is_defined_on_its_owner():
     assert missing == []
 
 
+
+def test_traced_names_sit_on_the_forward_call_path():
+    # A table that captured a traced function at import would call the
+    # original, not the wrapper, and its count would read 0.
+    d = run.load_dsfnet()
+    X = d.np.random.default_rng(0).normal(size=(2, 4, 128))
+    net = d.nn.ShallowNetConfig(n_temporal_filters=2, temporal_kernel=9,
+                                n_spatial_filters=2, pool_width=20,
+                                pool_stride=10)
+    with run.layertrace.Tracer(d) as tracer:
+        for name in ("dsfd", "dsfm_st", "dynamic"):
+            d.harness.DeepModel(name, 4, 128, net, 0).forward(X)
+    metrics = tracer.metrics()
+    assert {key: metrics[key] for key in (
+        "spatial.compute_summary_calls", "linalg.oas_shrink_calls",
+        "linalg.matrix_log_eig_calls", "attention.summaries_calls")} == {
+        "spatial.compute_summary_calls": 3, "linalg.oas_shrink_calls": 2,
+        "linalg.matrix_log_eig_calls": 2, "attention.summaries_calls": 2}
+
 # The benchmark's two hooks that the layer trace does not cover: StepClock
 # times a step by rebinding dsfnet.harness.adamw_step, and the numerics
 # check slices the array that Dataset.windows_and_labels returns.

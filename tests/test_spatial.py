@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from dsfnet.attention import VARIANTS, DsfConfig, DsfModule, dsf_param_count
 from dsfnet.linalg import (matrix_log_eig, oas_shrink, sample_covariance,
@@ -38,6 +39,27 @@ def test_phi_logm_cov_survives_flat_and_duplicate_channels(rng):
     values = phi_logm_cov(X)
     assert np.all(np.isfinite(values))
     assert values.shape == (10,)
+
+
+def test_phi_length():
+    assert SUMMARIES["log_variance"][1](6) == 6
+    assert SUMMARIES["logm_covariance"][1](6) == 21
+    assert SUMMARIES["logm_covariance"][1](4) == 10
+    for variant, length in (("dsfd", 6), ("dsfm", 21)):
+        cfg = DsfConfig(variant=variant, n_channels=6, n_virtual=3)
+        assert cfg.summary_length == length
+    with pytest.raises(ValueError):
+        DsfConfig(variant="nope", n_channels=4, n_virtual=3)
+
+
+def test_compute_summary_dispatch(rng):
+    X = rng.normal(size=(3, 128))
+    np.testing.assert_array_equal(
+        compute_summary("log_variance", X), phi_logvar(X))
+    np.testing.assert_array_equal(
+        compute_summary("logm_covariance", X), phi_logm_cov(X))
+    with pytest.raises(KeyError):
+        compute_summary("nope", X)
 
 
 def test_summary_table_lengths_and_variant_table_readers(rng):

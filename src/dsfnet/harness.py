@@ -168,8 +168,18 @@ class DeepModel:
     def backward(self, dlogits: NDArray) -> None:
         self.chain.backward(dlogits, self.store)
 
+    def logits(self, X: NDArray) -> NDArray:
+        """Eval-mode logits of a forward that no backward follows, so the
+        chain releases its activations at once. Overflow runs silent: every
+        caller checks the logits for finiteness."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self.forward(X)
+        finally:
+            self.chain.release()
+
     def predict_proba(self, X: NDArray) -> NDArray:
-        logits = self.forward(X)
+        logits = self.logits(X)
         if not np.isfinite(logits).all():
             raise ValueError(f"{self.name}: logits contain non-finite values")
         return softmax(logits)
@@ -240,7 +250,8 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
                                       derive_seed(seed, 3, epoch),
                                       index_offset=start)
             model.store.zero_grads()
-            logits = model.forward(batch, train=True, rng=drop_rng)
+            with np.errstate(over="ignore", invalid="ignore"):
+                logits = model.forward(batch, train=True, rng=drop_rng)
             loss, dlogits = loss_of(logits, y_train[idx], "training",
                                     start // cfg.batch_size)
             model.backward(dlogits)
@@ -252,7 +263,7 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
         valid_loss = 0.0
         for start in range(0, len(X_valid), cfg.batch_size):
             sl = slice(start, start + cfg.batch_size)
-            logits = model.forward(np.stack(X_valid[sl]))
+            logits = model.logits(np.stack(X_valid[sl]))
             loss, _ = loss_of(logits, y_valid[sl], "validation",
                               start // cfg.batch_size)
             valid_loss += loss * len(logits)
@@ -498,6 +509,7 @@ def inspect_filters(model: DeepModel, recordings: list[Recording],
     module = model.front
     X = np.concatenate([rec.windows for rec in recordings])
     W, b = module.filters_from_summary(module.summaries(X), model.store)
+    module.release()
     phi = channel_contribution(W)
     quartiles = np.quantile(phi, (0.25, 0.5, 0.75), axis=0)
     summary = {ch: tuple(float(q) for q in quartiles[:, ch])

@@ -1,9 +1,9 @@
 """Minimal differentiable-computation stack with hand-derived gradients.
 
-Layers cache what their backward pass needs, parameters live in a flat
-named ParamStore, and AdamW with cosine annealing drives the updates.
-Everything is plain float64 numpy; a finite-difference checker in the
-test suite pins every gradient.
+Layers cache what their backward pass needs and drop it once no backward
+can read it, parameters live in a flat named ParamStore, and AdamW with
+cosine annealing drives the updates. Everything is plain float64 numpy; a
+finite-difference checker in the test suite pins every gradient.
 """
 
 import struct
@@ -119,6 +119,11 @@ class Layer:
     """Forward caches activations; backward returns the input gradient and
     accumulates parameter gradients into the store.
 
+    The activations a forward keeps for its backward, and nothing else, sit
+    in attributes whose names start with an underscore; ``release`` drops
+    them. A bare forward keeps them, so that a backward can follow in train
+    or eval mode alike.
+
     A model sets ``input_grad`` to False on its first layer, whose input
     gradient nobody reads; layers that can come first (TemporalConv and
     the front ends) then return None from backward instead of computing it.
@@ -131,6 +136,15 @@ class Layer:
 
     def backward(self, dout, store):
         raise NotImplementedError
+
+    def release(self):
+        """Drop the activations of the last forward, here and in every
+        layer this one holds."""
+        for name, value in list(vars(self).items()):
+            if name.startswith("_"):
+                delattr(self, name)
+            elif isinstance(value, Layer):
+                value.release()
 
 
 class Dense(Layer):
@@ -288,21 +302,21 @@ class AvgPool(Layer):
     def __init__(self, width, stride):
         self.width = width
         self.stride = stride
-        self._P = None
+        self.matrix = None
 
     def forward(self, x, store, train=False, rng=None):
         T = x.shape[-1]
-        if self._P is None or len(self._P) != T:
+        if self.matrix is None or len(self.matrix) != T:
             if T < self.width:
                 raise ValueError(
                     f"cannot pool {T} samples with window {self.width}")
             n_pool = (T - self.width) // self.stride + 1
             offset = np.arange(T)[:, None] - self.stride * np.arange(n_pool)
-            self._P = ((offset >= 0) & (offset < self.width)) / self.width
-        return x @ self._P
+            self.matrix = ((offset >= 0) & (offset < self.width)) / self.width
+        return x @ self.matrix
 
     def backward(self, dout, store):
-        return dout @ self._P.T
+        return dout @ self.matrix.T
 
 
 class Dropout(Layer):
@@ -348,7 +362,8 @@ class Flatten(Layer):
 
 
 class Sequential(Layer):
-    """Layers applied in order; backward runs them in reverse."""
+    """Layers applied in order; backward runs them in reverse and releases
+    each layer once its backward has read the caches."""
 
     def __init__(self, layers):
         self.layers = list(layers)
@@ -361,7 +376,12 @@ class Sequential(Layer):
     def backward(self, dout, store):
         for layer in reversed(self.layers):
             dout = layer.backward(dout, store)
+            layer.release()
         return dout
+
+    def release(self):
+        for layer in self.layers:
+            layer.release()
 
 
 # ---------------------------------------------------------------------------

@@ -353,18 +353,27 @@ def test_truncated_dataset_fails_in_one_line(tmp_path, cfg_path, dataset_path,
     assert err[0].startswith(f"error: {short}: truncated at byte offset")
 
 
-def test_sweep_rejects_non_finite_outputs_in_one_line(tmp_path, cfg_path,
-                                                     dataset_path, capsys):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("models, error", [
     # Noise of 1e200 overflows the classifier at eta = 1, where an argmax
     # over NaN probabilities would pick class 0.
+    ("vanilla:none", "vanilla: logits contain non-finite values"),
+    # With augmentation the same noise overflows the summaries in training.
+    ("dsfm_st:augmentation", "matrix contains non-finite entries"),
+], ids=["vanilla", "dsfm_st-augmentation"])
+def test_sweep_rejects_non_finite_outputs_in_one_line(tmp_path, cfg_path,
+                                                     dataset_path, capfd,
+                                                     models, error, jobs):
     path = tmp_path / "huge.cfg"
-    path.write_text(Path(cfg_path()).read_text()
+    path.write_text(Path(cfg_path(models)).read_text()
                     + "sigma_range_uv = 1e200, 1e200\n")
     out = tmp_path / "results.csv"
+    capfd.readouterr()
+    # capfd sees the file descriptors, so numpy warnings printed by a
+    # worker process count too.
     assert main(["sweep", "--config", str(path), "--dataset", dataset_path,
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: vanilla: logits contain non-finite values"]
+                 "--out", str(out), "--jobs", jobs]) == 2
+    assert capfd.readouterr().err.splitlines() == [f"error: {error}"]
     assert not out.exists()
 
 

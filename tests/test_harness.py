@@ -20,7 +20,7 @@ from dsfnet.harness import (RANDOM_MASK, RESULT_HEADER, DeepModel,
                             corrupt_test_recordings, evaluate_cell,
                             inspect_filters, keep_freed_memory, run_sweep,
                             sweep_units, train_deep_model, train_model_unit)
-from dsfnet.nn import ShallowNetConfig, TrainConfig
+from dsfnet.nn import Layer, ShallowNetConfig, TrainConfig
 from dsfnet.seeding import derive_seed, rng_for
 from dsfnet.synth import Dataset, SynthConfig, generate_dataset, split_dataset
 
@@ -162,9 +162,47 @@ def test_pickled_model_carries_no_forward_caches(name):
     model = DeepModel(name, 3, 128, TINY_NET, seed=0)
     train_deep_model(model, ds, TINY_TRAIN, "none", seed=0)
     X, _ = ds.windows_and_labels("test")
-    probs = model.predict_proba(X)  # leaves this batch's caches behind
+    probs = model.predict_proba(X)  # releases this batch's activations
     blob = pickle.dumps(model)
+    assert len(blob) <= len(pickle.dumps(model.store)) + 64 * 1024
     np.testing.assert_array_equal(pickle.loads(blob).predict_proba(X), probs)
+
+
+def layers_of(layer):
+    """The layer and every layer it holds, through lists and mlps alike."""
+    yield layer
+    for value in vars(layer).values():
+        for child in value if isinstance(value, list) else (value,):
+            if isinstance(child, Layer):
+                yield from layers_of(child)
+
+
+def cached_arrays(model):
+    return [f"{type(layer).__name__}.{name}"
+            for layer in layers_of(model.chain)
+            for name, value in vars(layer).items()
+            if name.startswith("_") and isinstance(value, np.ndarray)]
+
+
+@pytest.mark.parametrize("name", ["vanilla", "dsfm_st", "vector", "dynamic"])
+def test_no_layer_keeps_activations_past_a_pass(name):
+    cfg = ExperimentConfig(models=[(name, "none")], train=TINY_TRAIN,
+                           net=TINY_NET)
+    ds = tiny_dataset()
+    model, _ = train_model_unit(cfg, ds, name, "none", seed=0)
+    assert cached_arrays(model) == []
+    X, _ = ds.windows_and_labels("test")
+    model.predict_proba(X)
+    assert cached_arrays(model) == []
+    evaluate_cell(model, ds.split("test"), _cell_spec(cfg, 1.0, RANDOM_MASK),
+                  0, "balanced_accuracy")
+    assert cached_arrays(model) == []
+    # A bare eval-mode forward still keeps what a backward reads, and that
+    # backward releases each layer once it has read it.
+    model.forward(X)
+    assert "TemporalConv._xf" in cached_arrays(model)
+    model.backward(np.ones((len(X), 2)))
+    assert cached_arrays(model) == []
 
 
 @pytest.mark.parametrize("name", ["vanilla", "dsfm_st", "dynamic",

@@ -76,6 +76,24 @@ def test_a_rebound_adamw_step_is_called_once_per_training_step(monkeypatch):
     assert len(calls) == len(log.train_losses) * -(-n_train // 4)
 
 
+def test_a_traced_training_reads_one_validation_pass_per_epoch():
+    # The trace finds the validation pass by its eval-mode DeepModel.forward
+    # calls, each followed by harness.softmax_xent.
+    d = run.load_dsfnet()
+    epochs = 3
+    train = d.nn.TrainConfig(max_epochs=epochs, patience=epochs,
+                             t_max=epochs, batch_size=4)
+    net = d.nn.ShallowNetConfig(n_temporal_filters=2, temporal_kernel=9,
+                                n_spatial_filters=2, pool_width=20,
+                                pool_stride=10)
+    cfg = d.harness.ExperimentConfig(models=[("vanilla", "none")],
+                                     train=train, net=net)
+    ds = _tiny_dataset(d)
+    with run.layertrace.Tracer(d) as tracer:
+        d.harness.train_model_unit(cfg, ds, "vanilla", "none", 1)
+    assert tracer.metrics()["harness.valid_pass_calls"] == epochs
+
+
 def test_windows_and_labels_returns_one_c_contiguous_array():
     d = run.load_dsfnet()
     ds = _tiny_dataset(d)

@@ -28,7 +28,7 @@ from .interp import INTERP_KINDS, InterpModule
 from .nn import (ParamStore, Sequential, ShallowNet, ShallowNetConfig,
                  TrainConfig, _check_positive_ints, adamw_step, cosine_lr,
                  softmax, softmax_xent)
-from .seeding import derive_seed, rng_for
+from .seeding import STREAMS, derive_seed, rng_for
 from .synth import Dataset, Recording, SynthConfig
 
 DEEP_MODELS = ("vanilla",) + tuple(VARIANTS) + INTERP_KINDS
@@ -144,7 +144,7 @@ class DeepModel:
         self.name = name
         self.n_classes = n_classes
         self.store = ParamStore()
-        rng = rng_for(seed, 0xD5F)
+        rng = rng_for(seed, STREAMS["model_init"])
         self.front: DsfModule | InterpModule | None = None
         self.c_prime = 0  # virtual channel count; 0 without a DSF front end
         if name in VARIANTS:
@@ -238,16 +238,16 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
                              f"{phase} batch {batch}: {e}") from e
 
     for epoch in range(cfg.max_epochs):
-        order = rng_for(seed, 1, epoch).permutation(n)
-        drop_rng = rng_for(seed, 2, epoch)
+        order = rng_for(seed, STREAMS["batch_order"], epoch).permutation(n)
+        drop_rng = rng_for(seed, STREAMS["dropout"], epoch)
+        aug_seed = derive_seed(seed, STREAMS["augmentation"], epoch)
         lr = cosine_lr(epoch, cfg.t_max, cfg.lr0)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             batch = np.stack([X_train[i] for i in idx])
             if denoise == "augmentation":
-                batch = augment_batch(batch, aug_spec,
-                                      derive_seed(seed, 3, epoch),
+                batch = augment_batch(batch, aug_spec, aug_seed,
                                       index_offset=start)
             model.store.zero_grads()
             with np.errstate(over="ignore", invalid="ignore"):
@@ -324,7 +324,8 @@ class FeatureModel:
                 for copy in range(self.N_AUG_COPIES):
                     aug = augment_batch(
                         rec.windows, aug_spec,
-                        derive_seed(self.seed, 4, rec.id, copy))
+                        derive_seed(self.seed, STREAMS["feature_augmentation"],
+                                    rec.id, copy))
                     rows.append(self._recording_features(aug))
                     labels.append(rec.label)
         features = np.stack(rows)
@@ -360,8 +361,10 @@ def _cell_spec(cfg: ExperimentConfig, eta: float,
 
 def sweep_units(cfg: ExperimentConfig) -> list[tuple]:
     """Every (name, denoise, seed, c_prime) unit, in sweep order; replicate
-    k is seeded derive_seed(master_seed, 100 + k), and c_prime None is C."""
-    return [(name, denoise, derive_seed(cfg.master_seed, 100 + k), c_prime)
+    k is seeded derive_seed(master_seed, STREAMS["replicate"] + k), and
+    c_prime None is C."""
+    return [(name, denoise,
+             derive_seed(cfg.master_seed, STREAMS["replicate"] + k), c_prime)
             for name, denoise in cfg.models
             for c_prime in (name in VARIANTS and cfg.c_prime_grid or (None,))
             for k in range(cfg.n_seeds)]
@@ -369,7 +372,7 @@ def sweep_units(cfg: ExperimentConfig) -> list[tuple]:
 
 def cell_seed(unit_seed: int) -> int:
     """Seed of a unit's test corruption in every cell, from its seed alone."""
-    return derive_seed(unit_seed, 5)
+    return derive_seed(unit_seed, STREAMS["cell"])
 
 
 def corrupt_test_recordings(recordings: list[Recording],

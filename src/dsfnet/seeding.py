@@ -9,6 +9,14 @@ import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+# The tag of every stream the package draws from, its first index after
+# the master seed; one entry per stream, so no two streams share a seed.
+# Replicate k of a sweep takes tag "replicate" + k. (The acceptance tests
+# draw their cell seeds with tag 9.)
+STREAMS = {"model_init": 0xD5F, "batch_order": 1, "dropout": 2,
+           "augmentation": 3, "feature_augmentation": 4, "cell": 5,
+           "replicate": 100}
+
 
 def splitmix64(x: int) -> int:
     """One step of the splitmix64 mixing function."""
@@ -19,8 +27,11 @@ def splitmix64(x: int) -> int:
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
-    """Mix a master seed with one or more stream indices into a new seed."""
-    x = master_seed & _MASK64
+    """Mix a master seed with one or more stream indices into a new seed.
+
+    The master is mixed before the first index, so (m, i) and (m', i')
+    with m ^ i == m' ^ i' draw different seeds."""
+    x = splitmix64(master_seed & _MASK64)
     for idx in indices:
         x = splitmix64(x ^ (idx & _MASK64))
     return x

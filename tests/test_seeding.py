@@ -1,6 +1,8 @@
 import numpy as np
 
-from dsfnet.seeding import derive_seed, rng_for, splitmix64
+from dsfnet.harness import ExperimentConfig, sweep_units
+from dsfnet.seeding import STREAMS, derive_seed, rng_for, splitmix64
+from dsfnet.synth import SynthConfig, generate_dataset
 
 
 def test_splitmix64_known_vector():
@@ -22,6 +24,34 @@ def test_derive_seed_is_deterministic_and_order_sensitive():
 def test_derive_seed_collision_free_over_small_grid():
     seen = {derive_seed(0, i, j) for i in range(100) for j in range(100)}
     assert len(seen) == 100 * 100
+
+
+def test_derive_seed_collision_free_over_masters_and_indices():
+    # Mixing the master only after xor-ing in the index gave
+    # derive_seed(m, i) == derive_seed(m ^ 1, i ^ 1).
+    one = [derive_seed(m, i) for m in range(64) for i in range(64)]
+    two = [derive_seed(m, i, j) for m in range(16) for i in range(16)
+           for j in range(16)]
+    assert len(set(one + two)) == len(one) + len(two)
+
+
+def test_stream_tags_are_distinct():
+    assert len(set(STREAMS.values())) == len(STREAMS)
+
+
+def test_adjacent_generator_seeds_share_no_recording():
+    cfg = SynthConfig(n_channels=3, n_times=128, n_recordings=8,
+                      windows_per_recording=2, n_classes=1)
+    a, b = (generate_dataset(cfg, seed).recordings for seed in (0, 1))
+    assert not any(np.array_equal(ra.windows, rb.windows)
+                   for ra in a for rb in b)
+
+
+def test_sweep_units_of_adjacent_masters_share_no_seed():
+    seeds = [seed for master in range(10)
+             for _, _, seed, _ in sweep_units(
+                 ExperimentConfig(n_seeds=3, master_seed=master))]
+    assert len(set(seeds)) == len(seeds) == 30
 
 
 def test_rng_for_reproducible_independent_streams():

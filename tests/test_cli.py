@@ -368,7 +368,6 @@ def test_sweep_rejects_non_finite_outputs_in_one_line(tmp_path, cfg_path,
     path.write_text(Path(cfg_path(models)).read_text()
                     + "sigma_range_uv = 1e200, 1e200\n")
     out = tmp_path / "results.csv"
-    capfd.readouterr()
     # capfd sees the file descriptors, so numpy warnings printed by a
     # worker process count too.
     assert main(["sweep", "--config", str(path), "--dataset", dataset_path,

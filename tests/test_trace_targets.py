@@ -44,9 +44,32 @@ def test_traced_names_sit_on_the_forward_call_path():
         "spatial.compute_summary_calls": 3, "linalg.oas_shrink_calls": 2,
         "linalg.matrix_log_eig_calls": 2, "attention.summaries_calls": 2}
 
+
+def test_a_traced_training_reads_one_validation_pass_per_epoch():
+    # The trace finds the validation pass by its eval-mode DeepModel.forward
+    # calls, each followed by harness.softmax_xent.
+    d = run.load_dsfnet()
+    ds = _tiny_dataset(d)
+    with run.layertrace.Tracer(d) as tracer:
+        d.harness.train_model_unit(_tiny_config(d, 3), ds, "vanilla", "none",
+                                   1)
+    assert tracer.metrics()["harness.valid_pass_calls"] == 3
+
+
 # The benchmark's two hooks that the layer trace does not cover: StepClock
 # times a step by rebinding dsfnet.harness.adamw_step, and the numerics
 # check slices the array that Dataset.windows_and_labels returns.
+
+def _tiny_config(d, epochs):
+    """A vanilla unit trained for exactly `epochs` epochs of batch 4."""
+    train = d.nn.TrainConfig(max_epochs=epochs, patience=epochs,
+                             t_max=epochs, batch_size=4)
+    net = d.nn.ShallowNetConfig(n_temporal_filters=2, temporal_kernel=9,
+                                n_spatial_filters=2, pool_width=20,
+                                pool_stride=10)
+    return d.harness.ExperimentConfig(models=[("vanilla", "none")],
+                                      train=train, net=net)
+
 
 def _tiny_dataset(d):
     cfg = d.synth.SynthConfig(n_channels=3, n_times=128, n_recordings=12,
@@ -64,34 +87,11 @@ def test_a_rebound_adamw_step_is_called_once_per_training_step(monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
     monkeypatch.setattr(d.harness, "adamw_step", counting)
-    train = d.nn.TrainConfig(max_epochs=2, patience=2, t_max=2, batch_size=4)
-    net = d.nn.ShallowNetConfig(n_temporal_filters=2, temporal_kernel=9,
-                                n_spatial_filters=2, pool_width=20,
-                                pool_stride=10)
-    cfg = d.harness.ExperimentConfig(models=[("vanilla", "none")],
-                                     train=train, net=net)
     ds = _tiny_dataset(d)
-    _, log = d.harness.train_model_unit(cfg, ds, "vanilla", "none", 1)
+    _, log = d.harness.train_model_unit(_tiny_config(d, 2), ds, "vanilla",
+                                        "none", 1)
     n_train = sum(len(r.windows) for r in ds.split("train"))
     assert len(calls) == len(log.train_losses) * -(-n_train // 4)
-
-
-def test_a_traced_training_reads_one_validation_pass_per_epoch():
-    # The trace finds the validation pass by its eval-mode DeepModel.forward
-    # calls, each followed by harness.softmax_xent.
-    d = run.load_dsfnet()
-    epochs = 3
-    train = d.nn.TrainConfig(max_epochs=epochs, patience=epochs,
-                             t_max=epochs, batch_size=4)
-    net = d.nn.ShallowNetConfig(n_temporal_filters=2, temporal_kernel=9,
-                                n_spatial_filters=2, pool_width=20,
-                                pool_stride=10)
-    cfg = d.harness.ExperimentConfig(models=[("vanilla", "none")],
-                                     train=train, net=net)
-    ds = _tiny_dataset(d)
-    with run.layertrace.Tracer(d) as tracer:
-        d.harness.train_model_unit(cfg, ds, "vanilla", "none", 1)
-    assert tracer.metrics()["harness.valid_pass_calls"] == epochs
 
 
 def test_windows_and_labels_returns_one_c_contiguous_array():

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .nn import (Dense, Layer, ParamStore, Sequential, Sigmoid,
-                 _check_positive_ints)
+from .nn import (Dense, Layer, ParamStore, Sequential, Sigmoid, bounded,
+                 check_bounds)
 from .spatial import SUMMARIES, compute_summary
 
 # name -> (summary kind, whether the filters are soft-thresholded)
@@ -24,16 +24,14 @@ VARIANTS = {"dsfd": ("log_variance", False),
 @dataclass(frozen=True)
 class DsfConfig:
     variant: str = "dsfm_st"
-    n_channels: int = 6
-    n_virtual: int = 6  # C': output (virtual) channel count
-    tau: float = 0.1
+    n_channels: int = bounded(6, "[1, inf)")
+    n_virtual: int = bounded(6, "[1, inf)")  # C': output (virtual) channels
+    tau: float = bounded(0.1, "[0, inf)")
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown DSF variant: {self.variant!r}")
-        _check_positive_ints(self, ("n_channels", "n_virtual"))
-        if not self.tau >= 0:
-            raise ValueError("tau must be >= 0")
+        check_bounds(self)
 
     @property
     def summary_kind(self) -> str:

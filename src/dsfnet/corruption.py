@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .nn import bounded, check_bounds
 from .seeding import rng_for
 
 # Detector thresholds: a channel-window is flagged above both.
@@ -21,16 +22,15 @@ VAR_THRESH_UV2 = 1000.0
 
 @dataclass(frozen=True)
 class CorruptionSpec:
-    p: float = 0.5
+    p: float = bounded(0.5, "[0, 1]")
     eta_range: tuple[float, float] = (0.5, 1.0)
     sigma_range_uv: tuple[float, float] = (20.0, 50.0)
     scope: str = "per_window"  # or "per_recording"
     forced_mask: NDArray | None = None
-    forced_count: int | None = None
+    forced_count: int | None = bounded(None, "[0, inf)")
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must be in [0, 1]")
+        check_bounds(self)
         lo, hi = self.eta_range
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValueError("eta range must lie inside [0, 1]")
@@ -40,9 +40,6 @@ class CorruptionSpec:
                              f", got {self.sigma_range_uv}")
         if self.scope not in ("per_window", "per_recording"):
             raise ValueError(f"unknown scope: {self.scope!r}")
-        if self.forced_count is not None and self.forced_count < 0:
-            raise ValueError(
-                f"forced_count must be >= 0, got {self.forced_count}")
         if self.forced_mask is not None:
             if self.forced_count is not None:
                 raise ValueError("set forced_mask or forced_count, not both")

@@ -26,7 +26,7 @@ from .binio import write_csv
 from .corruption import CorruptionSpec, augment_batch, corrupt_recording
 from .interp import INTERP_KINDS, InterpModule
 from .nn import (ParamStore, Sequential, ShallowNet, ShallowNetConfig,
-                 TrainConfig, _check_positive_ints, adamw_step, cosine_lr,
+                 TrainConfig, adamw_step, bounded, check_bounds, cosine_lr,
                  softmax, softmax_xent)
 from .seeding import STREAMS, derive_seed, rng_for
 from .synth import Dataset, Recording, SynthConfig
@@ -61,15 +61,17 @@ class ExperimentConfig:
         default_factory=lambda: [("vanilla", "none")])
     train: TrainConfig = field(default_factory=TrainConfig)
     net: ShallowNetConfig = field(default_factory=ShallowNetConfig)
-    eta_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-    count_grid: tuple[int, ...] = (RANDOM_MASK,)
-    c_prime_grid: tuple[int, ...] = ()  # empty: C' = C
-    mask_p: float = CorruptionSpec.p
+    eta_grid: tuple[float, ...] = bounded((0.0, 0.25, 0.5, 0.75, 1.0),
+                                          "[0, 1]")
+    count_grid: tuple[int, ...] = bounded((RANDOM_MASK,),
+                                          f"[{RANDOM_MASK}, inf)")
+    c_prime_grid: tuple[int, ...] = bounded((), "[1, inf)")  # empty: C' = C
+    mask_p: float = bounded(CorruptionSpec.p, "[0, 1]")
     sigma_range_uv: tuple[float, float] = CorruptionSpec.sigma_range_uv
-    n_seeds: int = 1
+    n_seeds: int = bounded(1, "[1, inf)")
     master_seed: int = 0
     metric: str = "balanced_accuracy"
-    dsf_tau: float = DsfConfig.tau
+    dsf_tau: float = bounded(DsfConfig.tau, "[0, inf)")
 
     def __post_init__(self) -> None:
         if not self.eta_grid or not self.count_grid:
@@ -82,20 +84,10 @@ class ExperimentConfig:
         for name in ("models", "eta_grid", "count_grid", "c_prime_grid"):
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ValueError(f"{name} repeats an entry")
-        if any(not 0.0 <= e <= 1.0 for e in self.eta_grid):
-            raise ValueError("eta grid must lie inside [0, 1]")
-        if not all(n >= RANDOM_MASK for n in self.count_grid):
-            raise ValueError(f"count_grid entries must be >= {RANDOM_MASK}")
-        if not all(c >= 1 for c in self.c_prime_grid):
-            raise ValueError("c_prime_grid entries must be >= 1")
-        _check_positive_ints(self, ("n_seeds",))
-        if not 0.0 <= self.mask_p <= 1.0:
-            raise ValueError("mask_p must lie inside [0, 1]")
+        check_bounds(self)
         CorruptionSpec(sigma_range_uv=self.sigma_range_uv)  # checks it
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric: {self.metric!r}")
-        if not self.dsf_tau >= 0.0:
-            raise ValueError(f"dsf_tau must be >= 0, got {self.dsf_tau}")
 
 
 # ---------------------------------------------------------------------------

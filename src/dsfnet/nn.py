@@ -8,6 +8,7 @@ finite-difference checker in the test suite pins every gradient.
 
 import struct
 from dataclasses import dataclass, field, fields
+from typing import get_args
 
 import numpy as np
 from numpy.typing import NDArray
@@ -422,43 +423,65 @@ def softmax_xent(
 
 
 # ---------------------------------------------------------------------------
+# Config bounds
+
+
+def bounded(default, interval: str, reason: str = ""):
+    """A dataclass field that check_bounds holds to an interval, written
+    as its message writes it: "[lo, hi)", a square bracket closing an end
+    and a round one opening it. An infinite end is written open, so a value
+    inside is finite. A reason, if given, follows the rule in the message."""
+    lo, hi = (float(v) for v in interval[1:-1].split(","))
+    rule = f"in {interval}"
+    if hi == np.inf and lo > -np.inf:  # a half-line
+        rule = f"{'>' if interval[0] == '(' else '>='} {lo:g}"
+    rule += f" ({reason})" if reason else ""
+    return field(default=default, metadata={"bound": (
+        lo, hi, interval[0] == "(", interval[-1] == ")", rule)})
+
+
+def check_bounds(cfg) -> None:
+    """Hold each bounded field of cfg to its interval, then, if it is
+    declared int (or int | None, or tuple[int, ...]), to int values; NaN
+    fails the interval first. A tuple is checked entry by entry, and None
+    not at all."""
+    for f in fields(cfg):
+        if "bound" not in f.metadata:
+            continue
+        lo, hi, lo_open, hi_open, rule = f.metadata["bound"]
+        value = getattr(cfg, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if v is None:
+                continue
+            if not ((lo < v if lo_open else lo <= v)
+                    and (v < hi if hi_open else v <= hi)):
+                raise ValueError(f"{f.name} must be {rule}, got {v}")
+            if int in (f.type, *get_args(f.type)) and not isinstance(
+                    v, (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer, got {v}")
+
+
+# ---------------------------------------------------------------------------
 # Optimization
-
-
-def _check_positive_ints(cfg, names) -> None:
-    for name in names:
-        if not getattr(cfg, name) >= 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
 
 
 @dataclass
 class TrainConfig:
-    lr0: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
-    max_epochs: int = 40
-    patience: int = 7
-    batch_size: int = 64
-    t_max: int = 40
+    lr0: float = bounded(1e-3, "(0, inf)")
+    beta1: float = bounded(0.9, "[0, 1)")
+    beta2: float = bounded(0.999, "[0, 1)")
+    eps: float = bounded(1e-8, "(0, inf)")
+    weight_decay: float = bounded(0.01, "[0, inf)")
+    max_epochs: int = bounded(40, "[1, inf)")
+    patience: int = bounded(7, "[0, inf)")
+    batch_size: int = bounded(64, "[1, inf)")
+    t_max: int = bounded(40, "[1, inf)")
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lr0 < np.inf:
-            raise ValueError(f"lr0 must be finite and > 0, got {self.lr0}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got "
-                                 f"{getattr(self, name)}")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise ValueError(f"weight_decay must be finite and >= 0, got "
-                             f"{self.weight_decay}")
-        _check_positive_ints(self, ("max_epochs", "batch_size", "t_max"))
-        if not 0 <= self.patience <= self.max_epochs:
-            raise ValueError(f"patience must be in [0, max_epochs], got "
-                             f"{self.patience}")
+        check_bounds(self)
+        if self.patience > self.max_epochs:
+            raise ValueError(f"patience must be <= max_epochs "
+                             f"{self.max_epochs}, got {self.patience}")
 
 
 def adamw_step(store: ParamStore, lr: float, config: TrainConfig, t: int) -> None:
@@ -486,19 +509,15 @@ def cosine_lr(t: int, t_max: int, lr0: float) -> float:
 
 @dataclass
 class ShallowNetConfig:
-    n_temporal_filters: int = 8
-    temporal_kernel: int = 25
-    n_spatial_filters: int = 8
-    pool_width: int = 75
-    pool_stride: int = 15
-    dropout_rate: float = 0.5
+    n_temporal_filters: int = bounded(8, "[1, inf)")
+    temporal_kernel: int = bounded(25, "[1, inf)")
+    n_spatial_filters: int = bounded(8, "[1, inf)")
+    pool_width: int = bounded(75, "[1, inf)")
+    pool_stride: int = bounded(15, "[1, inf)")
+    dropout_rate: float = bounded(0.5, "[0, 1)")
 
     def __post_init__(self) -> None:
-        _check_positive_ints(self, [f.name for f in fields(self)
-                                    if f.type is int])
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got "
-                             f"{self.dropout_rate}")
+        check_bounds(self)
 
 
 class ShallowNet(Sequential):

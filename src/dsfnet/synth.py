@@ -10,14 +10,14 @@ so that the 20-50 uV corruption regime is genuinely destructive.
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .binio import (atomic_write, expect_end, read_exact, read_float64,
                     read_header, unpack_exact, write_header)
-from .nn import _check_positive_ints
+from .nn import bounded, check_bounds
 from .seeding import rng_for
 
 MAGIC = b"DSFD"
@@ -28,50 +28,27 @@ SPLIT_TAGS = ("", "train", "valid", "test")  # split tag byte -> tag
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_channels: int = 6
-    n_times: int = 600
-    sfreq: float = 100.0
-    n_recordings: int = 60
-    windows_per_recording: int = 20
-    n_classes: int = 2
-    mixing_seed: int = 12345
+    n_channels: int = bounded(6, "[3, inf)", "three sources mix at full rank")
+    n_times: int = bounded(600, "[128, inf)")
+    sfreq: float = bounded(100.0, "(0, inf)")
+    n_recordings: int = bounded(60, "[1, inf)")
+    windows_per_recording: int = bounded(20, "[1, inf)")
+    n_classes: int = bounded(2, "[1, 3]", "one per boosted source")
+    mixing_seed: int = bounded(12345, "[0, inf)")
     class_freqs: tuple[float, float] = (10.0, 20.0)
-    distractor_freq: float = 5.0
-    base_amplitude_uv: float = 10.0
-    boost_factor: float = 2.0  # amplitude boost of the class-preferred source
-    background_std_uv: float = 4.0
-    sensor_noise_std_uv: float = 2.0
+    distractor_freq: float = bounded(5.0, "(-inf, inf)")
+    base_amplitude_uv: float = bounded(10.0, "(-inf, inf)")
+    # amplitude boost of the class-preferred source
+    boost_factor: float = bounded(2.0, "(-inf, inf)")
+    background_std_uv: float = bounded(4.0, "[0, inf)")
+    sensor_noise_std_uv: float = bounded(2.0, "[0, inf)")
 
     def __post_init__(self) -> None:
-        if not self.n_channels >= 3:
-            raise ValueError("n_channels must be >= 3 so that the three "
-                             "sources (two class oscillations and the "
-                             "distractor) mix at full rank, got "
-                             f"{self.n_channels}")
-        if not self.n_times >= 128:
-            raise ValueError(f"n_times must be >= 128 samples per window, "
-                             f"got {self.n_times}")
-        for name in [f.name for f in fields(self) if f.type is float]:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got "
-                                 f"{getattr(self, name)}")
+        check_bounds(self)
         if len(self.class_freqs) != 2 or not all(map(math.isfinite,
                                                       self.class_freqs)):
             raise ValueError(f"class_freqs must be two finite values, got "
                              f"{self.class_freqs}")
-        if not self.sfreq > 0.0:
-            raise ValueError(f"sfreq must be > 0, got {self.sfreq}")
-        _check_positive_ints(self, ("n_recordings", "windows_per_recording"))
-        if self.mixing_seed < 0:
-            raise ValueError(f"mixing_seed must be >= 0, got "
-                             f"{self.mixing_seed}")
-        for name in ("background_std_uv", "sensor_noise_std_uv"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0, got "
-                                 f"{getattr(self, name)}")
-        if not 1 <= self.n_classes <= 3:
-            raise ValueError(f"n_classes must be 1, 2 or 3 (one per boosted "
-                             f"source), got {self.n_classes}")
 
 
 @dataclass
@@ -235,12 +212,8 @@ def save_dataset(ds: Dataset, path: str) -> None:
 def _config(raw: bytes | str, path: str) -> SynthConfig:
     """SynthConfig from its fields as JSON; the rest take their defaults."""
     try:
-        fields = {k: tuple(v) if isinstance(v, list) else v
-                  for k, v in json.loads(raw).items()}
-        for k, v in fields.items():  # a float C or T cannot shape windows
-            if type(getattr(SynthConfig, k, v)) is int and type(v) is not int:
-                raise TypeError(f"{k} must be an int, got {v!r}")
-        return SynthConfig(**fields)
+        return SynthConfig(**{k: tuple(v) if isinstance(v, list) else v
+                              for k, v in json.loads(raw).items()})
     except (AttributeError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: bad dataset config: {e}") from e
 

@@ -285,6 +285,8 @@ def test_inspect_rejects_bad_corruption_in_one_line(tmp_path, cfg_path,
     ("data", "mixing_seed = -1"),
     ("sweep", "models = riemann:none, riemann:none\neta_grid = 0.5, 0.5"),
     ("train", "eps = 0"),
+    ("train", "eps = inf"),
+    ("sweep", "dsf_tau = inf"),
 ])
 def test_bad_config_fails_in_one_line(tmp_path, section, line, capsys):
     path = tmp_path / "bad.cfg"

@@ -185,6 +185,8 @@ def test_every_field_but_the_nested_configs_has_a_parser():
     ("train", "eps = nan"),
     ("train", "weight_decay = inf"),
     ("train", "weight_decay = -0.01"),
+    ("train", "eps = inf"),
+    ("sweep", "dsf_tau = inf"),
 ])
 def test_bad_value_names_file_and_section(tmp_path, section, line):
     path = write(tmp_path, f"[{section}]\n{line}\n")

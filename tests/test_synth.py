@@ -291,7 +291,7 @@ def test_load_version_1_file_takes_class_count_from_labels(tmp_path):
 
 @pytest.mark.parametrize("C,T,sfreq,field", [
     (2, 128, 100.0, "n_channels"),
-    (3, 64, 100.0, "128 samples"),
+    (3, 64, 100.0, "n_times must be >= 128"),
     (3, 128, 0.0, "sfreq"),
     (3, 128, float("nan"), "sfreq"),
 ])

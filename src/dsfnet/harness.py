@@ -12,6 +12,7 @@ import ctypes
 import itertools
 import multiprocessing as mp
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -222,9 +223,11 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
     valid_losses: list[float] = []
     step = 0
 
-    def loss_of(logits, labels, phase, batch):
+    @contextmanager
+    def named_batch(phase, batch):
+        """Prefix an error of the batch's forward or loss with its place."""
         try:
-            return softmax_xent(logits, labels, weights)
+            yield
         except ValueError as e:
             raise ValueError(f"{model.name} (seed {seed}) epoch {epoch}, "
                              f"{phase} batch {batch}: {e}") from e
@@ -242,10 +245,10 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
                 batch = augment_batch(batch, aug_spec, aug_seed,
                                       index_offset=start)
             model.store.zero_grads()
-            with np.errstate(over="ignore", invalid="ignore"):
-                logits = model.forward(batch, train=True, rng=drop_rng)
-            loss, dlogits = loss_of(logits, y_train[idx], "training",
-                                    start // cfg.batch_size)
+            with named_batch("training", start // cfg.batch_size):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    logits = model.forward(batch, train=True, rng=drop_rng)
+                loss, dlogits = softmax_xent(logits, y_train[idx], weights)
             model.backward(dlogits)
             step += 1
             adamw_step(model.store, lr, cfg, step)
@@ -255,9 +258,9 @@ def train_deep_model(model: DeepModel, dataset: Dataset, cfg: TrainConfig,
         valid_loss = 0.0
         for start in range(0, len(X_valid), cfg.batch_size):
             sl = slice(start, start + cfg.batch_size)
-            logits = model.logits(np.stack(X_valid[sl]))
-            loss, _ = loss_of(logits, y_valid[sl], "validation",
-                              start // cfg.batch_size)
+            with named_batch("validation", start // cfg.batch_size):
+                logits = model.logits(np.stack(X_valid[sl]))
+                loss, _ = softmax_xent(logits, y_valid[sl], weights)
             valid_loss += loss * len(logits)
         valid_loss /= len(X_valid)
         valid_losses.append(valid_loss)

@@ -16,7 +16,7 @@ from dsfnet.config import load_experiment_config
 from dsfnet.corruption import CorruptionSpec
 from dsfnet.harness import (RANDOM_MASK, _cell_spec, cell_seed,
                             corrupt_test_recordings, evaluate_cell,
-                            inspect_filters)
+                            inspect_filters, sweep_units)
 from dsfnet.nn import ParamStore
 from dsfnet.synth import (generate_dataset, load_dataset, save_dataset,
                           split_dataset)
@@ -360,8 +360,10 @@ def test_truncated_dataset_fails_in_one_line(tmp_path, cfg_path, dataset_path,
     # Noise of 1e200 overflows the classifier at eta = 1, where an argmax
     # over NaN probabilities would pick class 0.
     ("vanilla:none", "vanilla: logits contain non-finite values"),
-    # With augmentation the same noise overflows the summaries in training.
-    ("dsfm_st:augmentation", "matrix contains non-finite entries"),
+    # With augmentation the same noise overflows the summaries in training,
+    # and the error names the unit's seed, the epoch and the batch.
+    ("dsfm_st:augmentation", "dsfm_st (seed {seed}) epoch 0, training "
+     "batch 0: matrix contains non-finite entries"),
 ], ids=["vanilla", "dsfm_st-augmentation"])
 def test_sweep_rejects_non_finite_outputs_in_one_line(tmp_path, cfg_path,
                                                      dataset_path, capfd,
@@ -369,6 +371,8 @@ def test_sweep_rejects_non_finite_outputs_in_one_line(tmp_path, cfg_path,
     path = tmp_path / "huge.cfg"
     path.write_text(Path(cfg_path(models)).read_text()
                     + "sigma_range_uv = 1e200, 1e200\n")
+    [(_, _, seed, _)] = sweep_units(load_experiment_config(str(path))[1])
+    error = error.format(seed=seed)
     out = tmp_path / "results.csv"
     # capfd sees the file descriptors, so numpy warnings printed by a
     # worker process count too.

@@ -12,7 +12,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .nn import (Dense, Layer, ParamStore, Sequential, Sigmoid, bounded,
-                 check_bounds)
+                 check_bounds, check_interval)
 from .spatial import SUMMARIES, compute_summary
 
 # name -> (summary kind, whether the filters are soft-thresholded)
@@ -52,8 +52,7 @@ class DsfConfig:
 
 def soft_threshold(W: NDArray, tau: float) -> NDArray:
     """sign(w) * max(|w| - tau, 0), elementwise."""
-    if not tau >= 0:
-        raise ValueError("tau must be >= 0")
+    check_interval("tau", tau, "[0, inf)")
     return np.sign(W) * np.maximum(np.abs(W) - tau, 0.0)
 
 

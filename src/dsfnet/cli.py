@@ -21,6 +21,7 @@ from .harness import (DEEP_MODELS, RANDOM_MASK, _cell_spec, cell_seed,
                       train_model_unit)
 from .linalg import matrix_log_eig, matrix_log_taylor, oas_shrink, \
     sample_covariance
+from .nn import check_interval
 from .synth import generate_dataset, load_dataset, save_dataset, \
     split_dataset
 
@@ -42,8 +43,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _load_configs(args):
     data_cfg, sweep_cfg = load_experiment_config(args.config or None)
-    sweep_cfg.master_seed = args.seed
-    return data_cfg, sweep_cfg
+    return data_cfg, replace(sweep_cfg, master_seed=args.seed)
 
 
 def cmd_gen(args) -> int:
@@ -85,16 +85,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    if not 0.0 <= args.eta <= 1.0:
-        raise ValueError(f"--eta must be in [0, 1], got {args.eta}")
+    check_interval("--eta", args.eta, "[0, 1]")
     sweep_cfg, unit = _first_unit(args, VARIANTS, "DSF-family model")
     ds = load_dataset(args.dataset)
     if not ds.split("test"):
         raise ValueError(f"{args.dataset}: dataset has no test split")
     C = ds.config.n_channels
-    if args.n_corrupted is not None and not 0 <= args.n_corrupted <= C:
-        raise ValueError(f"--n-corrupted must be in [0, {C}] for a "
-                         f"{C}-channel dataset, got {args.n_corrupted}")
+    if args.n_corrupted is not None:
+        check_interval("--n-corrupted", args.n_corrupted, f"[0, {C}]",
+                       f"the dataset has {C} channels", integer=True)
     model, _ = train_model_unit(sweep_cfg, ds, *unit)
     spec = _cell_spec(sweep_cfg, args.eta, RANDOM_MASK
                       if args.n_corrupted is None else args.n_corrupted)
@@ -123,16 +122,13 @@ def taylor_error_curve(windows, n_terms_grid):
 
 
 def cmd_taylor_bench(args) -> int:
-    if args.n_windows < 1:
-        raise ValueError(f"--n-windows must be >= 1, got {args.n_windows}")
     terms = args.terms.split(",")
     if not all(t.strip().isdecimal() and int(t) >= 1 for t in terms):
         raise ValueError(f"--terms must be integers >= 1, got {args.terms!r}")
     data_cfg, _ = _load_configs(args)
     n_total = data_cfg.n_recordings * data_cfg.windows_per_recording
-    if args.n_windows > n_total:
-        raise ValueError(f"--n-windows {args.n_windows} exceeds the "
-                         f"{n_total} windows of the [data] config")
+    check_interval("--n-windows", args.n_windows, f"[1, {n_total}]",
+                   f"the [data] config has {n_total} windows", integer=True)
     # Recording r comes from its own generator, so the leading recordings
     # of a shorter dataset are those of the full one.
     n_rec = -(-args.n_windows // data_cfg.windows_per_recording)

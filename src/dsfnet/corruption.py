@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .nn import bounded, check_bounds
+from .nn import bounded, check_bounds, check_interval
 from .seeding import rng_for
 
 # Detector thresholds: a channel-window is flagged above both.
@@ -23,21 +23,14 @@ VAR_THRESH_UV2 = 1000.0
 @dataclass(frozen=True)
 class CorruptionSpec:
     p: float = bounded(0.5, "[0, 1]")
-    eta_range: tuple[float, float] = (0.5, 1.0)
-    sigma_range_uv: tuple[float, float] = (20.0, 50.0)
+    eta_range: tuple[float, float] = bounded((0.5, 1.0), "[0, 1]")
+    sigma_range_uv: tuple[float, float] = bounded((20.0, 50.0), "(0, inf)")
     scope: str = "per_window"  # or "per_recording"
     forced_mask: NDArray | None = None
     forced_count: int | None = bounded(None, "[0, inf)")
 
     def __post_init__(self) -> None:
         check_bounds(self)
-        lo, hi = self.eta_range
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ValueError("eta range must lie inside [0, 1]")
-        slo, shi = self.sigma_range_uv
-        if not 0.0 < slo <= shi < np.inf:
-            raise ValueError(f"sigma_range_uv must satisfy 0 < lo <= hi < inf"
-                             f", got {self.sigma_range_uv}")
         if self.scope not in ("per_window", "per_recording"):
             raise ValueError(f"unknown scope: {self.scope!r}")
         if self.forced_mask is not None:
@@ -54,8 +47,7 @@ class CorruptionSpec:
 
 def sample_mask(C: int, p: float, rng: np.random.Generator) -> NDArray:
     """i.i.d. Bernoulli(p) corruption mask; 1 marks a corrupted channel."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
+    check_interval("p", p, "[0, 1]")
     return (rng.random(C) < p).astype(np.float64)
 
 
@@ -67,10 +59,8 @@ def corrupt_window(X: NDArray, nu: NDArray, eta: float, sigma_uv: float,
     Z ~ N(0, sigma^2). Unmasked channels come out bit-identical; with
     eta = 0 the whole window does.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must be in [0, 1]")
-    if not 0 < sigma_uv < np.inf:
-        raise ValueError("sigma must be positive and finite")
+    check_interval("eta", eta, "[0, 1]")
+    check_interval("sigma_uv", sigma_uv, "(0, inf)")
     out = np.array(X, dtype=np.float64)
     _mix_noise(out, np.asarray(nu, dtype=np.float64) > 0, eta, sigma_uv, rng)
     return out
@@ -125,8 +115,7 @@ def draw_mask(C: int, spec: CorruptionSpec,
             raise ValueError(f"forced_mask shape {nu.shape} is not ({C},)")
         return nu
     if spec.forced_count is not None:
-        if spec.forced_count > C:
-            raise ValueError(f"forced_count {spec.forced_count} exceeds C={C}")
+        check_interval("forced_count", spec.forced_count, f"[0, {C}]")
         nu = np.zeros(C)
         nu[rng.choice(C, size=spec.forced_count, replace=False)] = 1.0
         return nu

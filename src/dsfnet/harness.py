@@ -27,8 +27,8 @@ from .binio import write_csv
 from .corruption import CorruptionSpec, augment_batch, corrupt_recording
 from .interp import INTERP_KINDS, InterpModule
 from .nn import (ParamStore, Sequential, ShallowNet, ShallowNetConfig,
-                 TrainConfig, adamw_step, bounded, check_bounds, cosine_lr,
-                 softmax, softmax_xent)
+                 TrainConfig, adamw_step, bounded, check_bounds,
+                 check_interval, cosine_lr, softmax, softmax_xent)
 from .seeding import STREAMS, derive_seed, rng_for
 from .synth import Dataset, Recording, SynthConfig
 
@@ -68,9 +68,10 @@ class ExperimentConfig:
                                           f"[{RANDOM_MASK}, inf)")
     c_prime_grid: tuple[int, ...] = bounded((), "[1, inf)")  # empty: C' = C
     mask_p: float = bounded(CorruptionSpec.p, "[0, 1]")
-    sigma_range_uv: tuple[float, float] = CorruptionSpec.sigma_range_uv
+    sigma_range_uv: tuple[float, float] = bounded(
+        CorruptionSpec.sigma_range_uv, "(0, inf)")
     n_seeds: int = bounded(1, "[1, inf)")
-    master_seed: int = 0
+    master_seed: int = bounded(0, "[0, 18446744073709551616)", "64 bits")
     metric: str = "balanced_accuracy"
     dsf_tau: float = bounded(DsfConfig.tau, "[0, inf)")
 
@@ -86,7 +87,6 @@ class ExperimentConfig:
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ValueError(f"{name} repeats an entry")
         check_bounds(self)
-        CorruptionSpec(sigma_range_uv=self.sigma_range_uv)  # checks it
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric: {self.metric!r}")
 
@@ -454,15 +454,13 @@ def run_sweep(cfg: ExperimentConfig, dataset: Dataset, out_path: str,
     the rows as CSV. One task trains and evaluates each unit, in up to
     `jobs` forked workers that return only rows; a row depends only on
     its unit and cell, so every jobs value gives the same CSV."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    check_interval("jobs", jobs, "[1, inf)", integer=True)
     test_recs = dataset.split("test")
     if not test_recs:
         raise ValueError("dataset has no test split")
-    n_channels = dataset.config.n_channels
-    if max(cfg.count_grid) > n_channels:
-        raise ValueError(f"count grid entry {max(cfg.count_grid)} exceeds "
-                         f"the dataset's {n_channels} channels")
+    C = dataset.config.n_channels
+    check_interval("count_grid", max(cfg.count_grid), f"[{RANDOM_MASK}, {C}]",
+                   f"the dataset has {C} channels")
 
     global _sweep
     units = sweep_units(cfg)

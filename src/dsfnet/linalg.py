@@ -11,6 +11,8 @@ every matrix in a stack gets the same bits it would get on its own.
 import numpy as np
 from numpy.typing import NDArray
 
+from .nn import check_interval
+
 EIG_FLOOR = 1e-12
 SYM_TOL = 1e-9
 
@@ -146,8 +148,7 @@ def matrix_log_taylor(A: NDArray, n_terms: int) -> NDArray:
     before normalizing centers the spectrum inside the convergence disk
     ||A_hat - I|| < 1.
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
+    check_interval("n_terms", n_terms, "[1, inf)", integer=True)
     A = _square_stack(A)
     eye = np.eye(A.shape[-1])
     flat = A.reshape(*A.shape[:-2], 1, -1)

@@ -6,6 +6,7 @@ cosine annealing drives the updates. Everything is plain float64 numpy; a
 finite-difference checker in the test suite pins every gradient.
 """
 
+import functools
 import struct
 from dataclasses import dataclass, field, fields
 from typing import get_args
@@ -106,8 +107,7 @@ def he_uniform_init(
     shape: tuple[int, ...], fan_in: int, rng: np.random.Generator
 ) -> NDArray:
     """Uniform He initialization: i.i.d. U(-sqrt(6/fan_in), +sqrt(6/fan_in))."""
-    if fan_in < 1:
-        raise ValueError("fan_in must be >= 1")
+    check_interval("fan_in", fan_in, "[1, inf)", integer=True)
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
@@ -324,8 +324,7 @@ class Dropout(Layer):
     """Inverted-scaling dropout; identity in eval mode."""
 
     def __init__(self, rate):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
+        check_interval("dropout rate", rate, "[0, 1)")
         self.rate = rate
 
     def forward(self, x, store, train=False, rng=None):
@@ -426,39 +425,54 @@ def softmax_xent(
 # Config bounds
 
 
-def bounded(default, interval: str, reason: str = ""):
-    """A dataclass field that check_bounds holds to an interval, written
-    as its message writes it: "[lo, hi)", a square bracket closing an end
-    and a round one opening it. An infinite end is written open, so a value
-    inside is finite. A reason, if given, follows the rule in the message."""
+@functools.cache
+def _interval(interval: str, reason: str):
+    """(lo, hi, lo open, hi open, rule as the message writes it)."""
     lo, hi = (float(v) for v in interval[1:-1].split(","))
     rule = f"in {interval}"
     if hi == np.inf and lo > -np.inf:  # a half-line
         rule = f"{'>' if interval[0] == '(' else '>='} {lo:g}"
     rule += f" ({reason})" if reason else ""
-    return field(default=default, metadata={"bound": (
-        lo, hi, interval[0] == "(", interval[-1] == ")", rule)})
+    return lo, hi, interval[0] == "(", interval[-1] == ")", rule
+
+
+def check_interval(name: str, value, interval: str, reason: str = "",
+                   integer: bool = False) -> None:
+    """Hold a value to an interval written as its message writes it:
+    "[lo, hi)", a square bracket closing an end and a round one opening it.
+    An infinite end is written open, so a value inside is finite. NaN fails,
+    and so, with integer set, does a value that is not an int. A reason, if
+    given, follows the rule in the message."""
+    lo, hi, lo_open, hi_open, rule = _interval(interval, reason)
+    if not ((lo < value if lo_open else lo <= value)
+            and (value < hi if hi_open else value <= hi)):
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    if integer and not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+
+
+def bounded(default, interval: str, reason: str = ""):
+    """A dataclass field that check_bounds holds to check_interval's
+    interval and reason."""
+    return field(default=default, metadata={"bound": (interval, reason)})
 
 
 def check_bounds(cfg) -> None:
-    """Hold each bounded field of cfg to its interval, then, if it is
-    declared int (or int | None, or tuple[int, ...]), to int values; NaN
-    fails the interval first. A tuple is checked entry by entry, and None
-    not at all."""
+    """Hold each bounded field of cfg to its interval, as an integer if it
+    is declared int (or int | None, or tuple[int, ...]). A tuple is checked
+    entry by entry, and None not at all; a tuple[float, float] must also be
+    an ordered pair."""
     for f in fields(cfg):
         if "bound" not in f.metadata:
             continue
-        lo, hi, lo_open, hi_open, rule = f.metadata["bound"]
         value = getattr(cfg, f.name)
+        integer = int in (f.type, *get_args(f.type))
         for v in value if isinstance(value, tuple) else (value,):
-            if v is None:
-                continue
-            if not ((lo < v if lo_open else lo <= v)
-                    and (v < hi if hi_open else v <= hi)):
-                raise ValueError(f"{f.name} must be {rule}, got {v}")
-            if int in (f.type, *get_args(f.type)) and not isinstance(
-                    v, (int, np.integer)):
-                raise ValueError(f"{f.name} must be an integer, got {v}")
+            if v is not None:
+                check_interval(f.name, v, *f.metadata["bound"], integer)
+        if get_args(f.type) == (float, float) and (
+                len(value) != 2 or value[0] > value[1]):
+            raise ValueError(f"{f.name} must be a pair lo <= hi, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +493,8 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_bounds(self)
-        if self.patience > self.max_epochs:
-            raise ValueError(f"patience must be <= max_epochs "
-                             f"{self.max_epochs}, got {self.patience}")
+        check_interval("patience", self.patience, f"[0, {self.max_epochs}]",
+                       "at most max_epochs")
 
 
 def adamw_step(store: ParamStore, lr: float, config: TrainConfig, t: int) -> None:
@@ -498,8 +511,7 @@ def adamw_step(store: ParamStore, lr: float, config: TrainConfig, t: int) -> Non
 
 def cosine_lr(t: int, t_max: int, lr0: float) -> float:
     """Cosine annealing from lr0 at t=0 down to 0 at t=t_max."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    check_interval("t_max", t_max, "(0, inf)")
     return lr0 * 0.5 * (1.0 + np.cos(np.pi * t / t_max))
 
 

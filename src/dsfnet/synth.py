@@ -17,7 +17,7 @@ from numpy.typing import NDArray
 
 from .binio import (atomic_write, expect_end, read_exact, read_float64,
                     read_header, unpack_exact, write_header)
-from .nn import bounded, check_bounds
+from .nn import bounded, check_bounds, check_interval
 from .seeding import rng_for
 
 MAGIC = b"DSFD"
@@ -169,6 +169,8 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
 def split_dataset(ds: Dataset, fractions: tuple[float, float, float],
                   seed: int) -> Dataset:
     """Label-stratified recording-wise split into train/valid/test."""
+    for fraction in fractions:
+        check_interval("fractions", fraction, "[0, 1]")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must sum to 1")
     rng = np.random.default_rng(seed)

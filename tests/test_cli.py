@@ -246,11 +246,11 @@ def test_inspect_rejects_non_dsf_model_before_loading_data(
     (["--eta", "-0.5"], "--eta must be in [0, 1], got -0.5"),
     (["--eta", "1.5"], "--eta must be in [0, 1], got 1.5"),
     (["--eta", "1.0", "--n-corrupted", "-1"],
-     "--n-corrupted must be in [0, 3] for a 3-channel dataset, got -1"),
+     "--n-corrupted must be in [0, 3] (the dataset has 3 channels), got -1"),
     (["--eta", "1.0", "--n-corrupted", "-3"],
-     "--n-corrupted must be in [0, 3] for a 3-channel dataset, got -3"),
+     "--n-corrupted must be in [0, 3] (the dataset has 3 channels), got -3"),
     (["--eta", "1.0", "--n-corrupted", "4"],
-     "--n-corrupted must be in [0, 3] for a 3-channel dataset, got 4"),
+     "--n-corrupted must be in [0, 3] (the dataset has 3 channels), got 4"),
 ])
 def test_inspect_rejects_bad_corruption_in_one_line(tmp_path, cfg_path,
                                                     dataset_path, capsys,
@@ -428,7 +428,7 @@ def test_sweep_rejects_jobs_below_one_in_one_line(tmp_path, cfg_path,
                  "--dataset", dataset_path, "--out", str(out),
                  "--jobs", jobs]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: jobs must be >= 1"]
+        f"error: jobs must be >= 1, got {jobs}"]
     assert not out.exists()
 
 
@@ -489,7 +489,8 @@ def test_taylor_bench_rejects_n_windows_below_one(tmp_path, cfg_path, capsys,
     assert main(["taylor-bench", "--config", cfg_path(), "--seed", "0",
                  "--out", str(out), "--n-windows", n_windows]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: --n-windows must be >= 1, got {n_windows}"]
+        f"error: --n-windows must be in [1, 36] (the [data] config has 36 "
+        f"windows), got {n_windows}"]
     assert not out.exists()
 
 
@@ -502,7 +503,8 @@ def test_taylor_bench_rejects_more_windows_than_the_config_has(
     assert main(["taylor-bench", "--config", cfg_path(), "--seed", "0",
                  "--out", str(out), "--n-windows", "50"]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: --n-windows 50 exceeds the 36 windows of the [data] config"]
+        "error: --n-windows must be in [1, 36] (the [data] config has 36 "
+        "windows), got 50"]
     assert not out.exists()
 
 

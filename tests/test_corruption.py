@@ -13,11 +13,14 @@ from dsfnet.seeding import rng_for
 def test_spec_validation():
     with pytest.raises(ValueError):
         CorruptionSpec(p=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eta_range must be a pair "
+                       r"lo <= hi, got \(0.8, 0.2\)$"):
         CorruptionSpec(eta_range=(0.8, 0.2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^sigma_range_uv must be > 0, got 0.0$"):
         CorruptionSpec(sigma_range_uv=(0.0, 10.0))
-    with pytest.raises(ValueError, match="^sigma_range_uv must satisfy"):
+    with pytest.raises(ValueError,
+                       match=r"^sigma_range_uv must be > 0, got inf$"):
         CorruptionSpec(sigma_range_uv=(20.0, np.inf))
     with pytest.raises(ValueError):
         CorruptionSpec(scope="sometimes")
@@ -78,7 +81,7 @@ def test_corrupt_window_validation(rng):
     with pytest.raises(ValueError):
         corrupt_window(X, np.ones(2), 0.5, 0.0, rng)
     for sigma in (float("nan"), np.inf):
-        with pytest.raises(ValueError, match="sigma must be positive"):
+        with pytest.raises(ValueError, match=r"^sigma_uv must be > 0, got "):
             corrupt_window(X, np.ones(2), 0.5, sigma, rng)
 
 
@@ -105,7 +108,8 @@ def test_recording_mask_forced_count(rng):
     for _ in range(50):
         nu = draw_mask(6, spec, rng)
         assert nu.sum() == 3.0
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValueError,
+                       match=r"^forced_count must be in \[0, 2\], got 3$"):
         draw_mask(2, spec, rng)
 
 

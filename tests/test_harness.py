@@ -658,7 +658,8 @@ def test_run_sweep_rejects_count_above_channels_before_training(
         raise AssertionError("trained a unit")
     monkeypatch.setattr(harness, "train_model_unit", no_training)
     cfg = sweep_config([("vanilla", "none")], count_grid=(RANDOM_MASK, 4))
-    with pytest.raises(ValueError, match="count grid entry 4 exceeds"):
+    with pytest.raises(ValueError, match=r"^count_grid must be in \[-1, 3\] "
+                       r"\(the dataset has 3 channels\), got 4$"):
         run_sweep(cfg, tiny_dataset(), str(tmp_path / "r.csv"))
 
 

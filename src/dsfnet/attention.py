@@ -106,7 +106,6 @@ class DsfModule(Layer):
             W = soft_threshold(W_pre, cfg.tau)
         else:
             W = W_pre
-        self._b = b
         return W, b
 
     def forward(self, X: NDArray, store: ParamStore, train: bool = False,

@@ -95,12 +95,20 @@ class ExperimentConfig:
 # Metrics
 
 
-def balanced_accuracy(preds: NDArray, labels: NDArray) -> float:
-    """Mean per-class recall over the classes present in the labels."""
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
+def _scored(preds: NDArray, labels: NDArray) -> tuple[NDArray, NDArray]:
+    """Predictions and labels as arrays of one non-zero length."""
+    preds, labels = np.asarray(preds), np.asarray(labels)
+    if len(preds) != len(labels):
+        raise ValueError(f"{len(preds)} predictions for {len(labels)} "
+                         f"labels")
     if len(labels) == 0:
         raise ValueError("no examples to score")
+    return preds, labels
+
+
+def balanced_accuracy(preds: NDArray, labels: NDArray) -> float:
+    """Mean per-class recall over the classes present in the labels."""
+    preds, labels = _scored(preds, labels)
     recalls = []
     for cls in np.unique(labels):
         sel = labels == cls
@@ -109,7 +117,8 @@ def balanced_accuracy(preds: NDArray, labels: NDArray) -> float:
 
 
 def accuracy(preds: NDArray, labels: NDArray) -> float:
-    return float(np.mean(np.asarray(preds) == np.asarray(labels)))
+    preds, labels = _scored(preds, labels)
+    return float(np.mean(preds == labels))
 
 
 METRICS = {"accuracy": accuracy, "balanced_accuracy": balanced_accuracy}
@@ -141,7 +150,7 @@ class DeepModel:
         self.front: DsfModule | InterpModule | None = None
         self.c_prime = 0  # virtual channel count; 0 without a DSF front end
         if name in VARIANTS:
-            self.c_prime = c_prime or n_channels
+            self.c_prime = n_channels if c_prime is None else c_prime
             self.front = DsfModule(
                 DsfConfig(variant=name, n_channels=n_channels,
                           n_virtual=self.c_prime, tau=tau), self.store, rng)

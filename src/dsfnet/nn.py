@@ -288,11 +288,11 @@ class LogFloor(Layer):
 
     def forward(self, x, store, train=False, rng=None):
         self._clipped = np.maximum(x, LOG_FLOOR)
-        self._active = x > LOG_FLOOR
         return np.log(self._clipped)
 
     def backward(self, dout, store):
-        return np.where(self._active, dout / self._clipped, 0.0)
+        # x > LOG_FLOOR exactly where the clipped value is, NaN included.
+        return np.where(self._clipped > LOG_FLOOR, dout / self._clipped, 0.0)
 
 
 class AvgPool(Layer):
@@ -459,15 +459,15 @@ def bounded(default, interval: str, reason: str = ""):
 
 def check_bounds(cfg) -> None:
     """Hold each bounded field of cfg to its interval, as an integer if it
-    is declared int (or int | None, or tuple[int, ...]). A tuple is checked
-    entry by entry, and None not at all; a tuple[float, float] must also be
-    an ordered pair."""
+    is declared int (or int | None, or tuple[int, ...]). A tuple (or list)
+    is checked entry by entry, and None not at all; a tuple[float, float]
+    must also be an ordered pair."""
     for f in fields(cfg):
         if "bound" not in f.metadata:
             continue
         value = getattr(cfg, f.name)
         integer = int in (f.type, *get_args(f.type))
-        for v in value if isinstance(value, tuple) else (value,):
+        for v in value if isinstance(value, (tuple, list)) else (value,):
             if v is not None:
                 check_interval(f.name, v, *f.metadata["bound"], integer)
         if get_args(f.type) == (float, float) and (

@@ -85,7 +85,7 @@ def test_forward_applies_returned_filters(rng):
     _, store, module = make_module("dsfm_st", C=4, C_prime=3)
     X = rng.normal(size=(2, 4, 200))
     Y = module.forward(X, store)
-    W, b = module._W, module._b
+    W, b = module.filters_from_summary(module.summaries(X), store)
     assert W.shape == (2, 3, 4) and b.shape == (2, 3)
     for i in range(2):
         np.testing.assert_allclose(Y[i], W[i] @ X[i] + b[i][:, None],

@@ -123,7 +123,8 @@ def test_bound_admits_exactly_its_interval(cls, name, value):
 @pytest.mark.parametrize("cls,name", [
     (CorruptionSpec, "eta_range"), (CorruptionSpec, "sigma_range_uv"),
     (ExperimentConfig, "sigma_range_uv")])
-@pytest.mark.parametrize("pair", [(0.8, 0.2), (0.5,), (0.2, 0.5, 0.8), ()])
+@pytest.mark.parametrize("pair", [(0.8, 0.2), (0.5,), (0.2, 0.5, 0.8), (),
+                                  [0.8, 0.2]])
 def test_pair_fields_are_ordered_pairs(cls, name, pair):
     with pytest.raises(ValueError, match=rf"^{name} must be a pair lo <= hi, "
                        rf"got {re.escape(str(pair))}$"):

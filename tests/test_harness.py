@@ -77,6 +77,20 @@ def test_accuracy_and_dispatch():
         balanced_accuracy(preds, labels)
     with pytest.raises(ValueError):
         compute_metric("nope", preds, labels)
+    with pytest.raises(ValueError, match="^no examples to score$"):
+        accuracy(np.array([]), np.array([]))
+
+
+@pytest.mark.parametrize("metric", [accuracy, balanced_accuracy])
+@pytest.mark.parametrize("preds,labels", [
+    ([1], [0, 1, 1]),  # accuracy broadcast the one prediction: 0.667
+    ([0, 1], [0, 1, 1]),  # accuracy raised numpy's broadcast error
+    ([0, 1, 1], [0, 1]),  # balanced_accuracy raised an IndexError
+])
+def test_metrics_reject_mismatched_lengths(metric, preds, labels):
+    with pytest.raises(ValueError, match=f"^{len(preds)} predictions for "
+                       f"{len(labels)} labels$"):
+        metric(np.array(preds), np.array(labels))
 
 
 def test_class_weight_vector():
@@ -133,6 +147,12 @@ def test_deep_model_forward_shapes(name, c_prime):
         assert model.c_prime == 2
     elif name == "vanilla":
         assert model.c_prime == 0
+
+
+def test_deep_model_rejects_zero_virtual_channels():
+    # c_prime=0 used to build C' = C silently.
+    with pytest.raises(ValueError, match="^n_virtual must be >= 1, got 0$"):
+        DeepModel("dsfm_st", 3, 128, TINY_NET, seed=0, c_prime=0)
 
 
 def test_deep_model_rejects_feature_names():

@@ -56,23 +56,23 @@ def cmd_gen(args) -> int:
 
 
 def _first_unit(args, models, kind):
-    """The sweep config and its first unit, which must be in `models`."""
+    """The sweep config, its first unit and the dataset; the unit's model
+    must be in `models`, which is checked before the dataset loads."""
     _, sweep_cfg = _load_configs(args)
-    unit = sweep_units(sweep_cfg)[0]
-    if unit[0] not in models:
-        raise ValueError(f"{unit[0]!r} is not a {kind}")
-    return sweep_cfg, unit
+    name = sweep_cfg.models[0][0]
+    if name not in models:
+        raise ValueError(f"{name!r} is not a {kind}")
+    ds = load_dataset(args.dataset)
+    return sweep_cfg, sweep_units(sweep_cfg, ds.config.n_channels)[0], ds
 
 
 def cmd_train(args) -> int:
     # A feature model has no parameter file.
-    sweep_cfg, unit = _first_unit(args, DEEP_MODELS, "deep model")
-    name, denoise, _, _ = unit
-    model, log = train_model_unit(sweep_cfg, load_dataset(args.dataset),
-                                  *unit)
+    sweep_cfg, unit, ds = _first_unit(args, DEEP_MODELS, "deep model")
+    model, log = train_model_unit(sweep_cfg, ds, *unit)
     model.store.save(args.out)
-    print(f"trained {name} ({denoise}), best epoch {log.best_epoch}, "
-          f"saved parameters to {args.out}")
+    print(f"trained {unit.name} ({unit.denoise}), best epoch "
+          f"{log.best_epoch}, saved parameters to {args.out}")
     return 0
 
 
@@ -86,8 +86,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_inspect(args) -> int:
     check_interval("--eta", args.eta, "[0, 1]")
-    sweep_cfg, unit = _first_unit(args, VARIANTS, "DSF-family model")
-    ds = load_dataset(args.dataset)
+    sweep_cfg, unit, ds = _first_unit(args, VARIANTS, "DSF-family model")
     if not ds.split("test"):
         raise ValueError(f"{args.dataset}: dataset has no test split")
     C = ds.config.n_channels
@@ -98,7 +97,7 @@ def cmd_inspect(args) -> int:
     spec = _cell_spec(sweep_cfg, args.eta, RANDOM_MASK
                       if args.n_corrupted is None else args.n_corrupted)
     _, summary = inspect_filters(model, ds.split("test"), spec,
-                                 cell_seed(unit[2]), dump_path=args.out)
+                                 cell_seed(unit.seed), dump_path=args.out)
     for ch, (q25, med, q75) in summary.items():
         print(f"channel {ch}: phi median {med:.4f} (q25 {q25:.4f}, "
               f"q75 {q75:.4f})")

@@ -1,6 +1,6 @@
 """Training loop, corruption-sweep evaluation and result persistence.
 
-A "model unit" is a (model, denoise, seed, C') tuple (`sweep_units`). Deep
+A model unit is a `Unit`: model, denoise, seed and C' (`sweep_units`). Deep
 models are a ShallowNet classifier optionally fronted by a DSF or
 interpolation module; feature models aggregate recording-level features
 into a logistic regression. The sweep corrupts test recordings cell by cell
@@ -14,15 +14,16 @@ import multiprocessing as mp
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .attention import VARIANTS, DsfConfig, DsfModule, channel_contribution
-from .baselines import (LogisticRegression, aggregate_recording,
-                        band_cov_stack, handcrafted_features, impute_apply,
-                        impute_fit, riemann_vectorize, zscore_apply,
-                        zscore_fit)
+from .baselines import (RIEMANN_BANDS, LogisticRegression,
+                        aggregate_recording, band_cov_stack,
+                        handcrafted_features, impute_apply, impute_fit,
+                        riemann_vectorize, zscore_apply, zscore_fit)
 from .binio import write_csv
 from .corruption import CorruptionSpec, augment_batch, corrupt_recording
 from .interp import INTERP_KINDS, InterpModule
@@ -298,7 +299,6 @@ class FeatureModel:
     """Recording-level feature pipeline + logistic regression."""
 
     N_AUG_COPIES = 5  # augmented replicas per training recording
-    c_prime = 0  # no virtual channels
 
     def __init__(self, kind: str, sfreq: float, n_classes: int, seed: int):
         if kind not in FEATURE_MODELS:
@@ -363,14 +363,23 @@ def _cell_spec(cfg: ExperimentConfig, eta: float,
                           scope="per_recording", forced_count=forced)
 
 
-def sweep_units(cfg: ExperimentConfig) -> list[tuple]:
-    """Every (name, denoise, seed, c_prime) unit, in sweep order; replicate
-    k is seeded derive_seed(master_seed, STREAMS["replicate"] + k), and
-    c_prime None is C."""
-    return [(name, denoise,
-             derive_seed(cfg.master_seed, STREAMS["replicate"] + k), c_prime)
+class Unit(NamedTuple):
+    """A model unit; c_prime is C' as the CSV writes it, 0 without a DSF
+    front end. The fields are train_model_unit's parameters, in order."""
+    name: str
+    denoise: str
+    seed: int
+    c_prime: int
+
+
+def sweep_units(cfg: ExperimentConfig, n_channels: int) -> list[Unit]:
+    """Every unit, in sweep order; replicate k is seeded
+    derive_seed(master_seed, STREAMS["replicate"] + k)."""
+    return [Unit(name, denoise,
+                 derive_seed(cfg.master_seed, STREAMS["replicate"] + k), c)
             for name, denoise in cfg.models
-            for c_prime in (name in VARIANTS and cfg.c_prime_grid or (None,))
+            for c in ((cfg.c_prime_grid or (n_channels,)) if name in VARIANTS
+                      else (0,))
             for k in range(cfg.n_seeds)]
 
 
@@ -443,17 +452,16 @@ def keep_freed_memory() -> None:
 _sweep = None
 
 
-def _sweep_unit(unit) -> list[ResultRow]:
+def _sweep_unit(unit: Unit) -> list[ResultRow]:
     """Train a unit, then score it on every (eta, count) cell in order."""
     cfg, dataset, recordings = _sweep
-    name, denoise, seed, _ = unit
     model, _ = train_model_unit(cfg, dataset, *unit)
-    return [ResultRow(seed=seed, split_id=0, model=name, denoise=denoise,
-                      eta=eta, n_corrupted=count, c_prime=model.c_prime,
-                      metric=cfg.metric,
+    return [ResultRow(seed=unit.seed, split_id=0, model=unit.name,
+                      denoise=unit.denoise, eta=eta, n_corrupted=count,
+                      c_prime=unit.c_prime, metric=cfg.metric,
                       value=evaluate_cell(
                           model, recordings, _cell_spec(cfg, eta, count),
-                          cell_seed(seed), cfg.metric))
+                          cell_seed(unit.seed), cfg.metric))
             for eta, count in itertools.product(cfg.eta_grid, cfg.count_grid)]
 
 
@@ -470,9 +478,13 @@ def run_sweep(cfg: ExperimentConfig, dataset: Dataset, out_path: str,
     C = dataset.config.n_channels
     check_interval("count_grid", max(cfg.count_grid), f"[{RANDOM_MASK}, {C}]",
                    f"the dataset has {C} channels")
+    units = sweep_units(cfg, C)
+    if any(unit.name == "riemann" for unit in units):
+        top = max(hi for _, hi in RIEMANN_BANDS)
+        check_interval("sfreq", dataset.config.sfreq, f"[{2 * top}, inf)",
+                       f"the riemann bands reach {top:g} Hz")
 
     global _sweep
-    units = sweep_units(cfg)
     workers = min(jobs, len(units))
     _sweep = (cfg, dataset, test_recs)
     try:

@@ -169,6 +169,9 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> Dataset:
 def split_dataset(ds: Dataset, fractions: tuple[float, float, float],
                   seed: int) -> Dataset:
     """Label-stratified recording-wise split into train/valid/test."""
+    if len(fractions) != 3:
+        raise ValueError(f"fractions must be three shares (train, valid, "
+                         f"test), got {fractions}")
     for fraction in fractions:
         check_interval("fractions", fraction, "[0, 1]")
     if abs(sum(fractions) - 1.0) > 1e-9:

@@ -224,6 +224,21 @@ def test_class_count_comes_from_data_section(tmp_path):
     assert ParamStore.load(params)["net.out.b"].value.shape == (3,)
 
 
+@pytest.mark.parametrize("command", ["train", "inspect"])
+def test_train_and_inspect_load_the_dataset_once(
+        tmp_path, cfg_path, dataset_path, monkeypatch, command):
+    loaded = []
+
+    def spy(path):
+        loaded.append(path)
+        return load_dataset(path)
+    monkeypatch.setattr(dsfnet.cli, "load_dataset", spy)
+    assert main([command, "--config", cfg_path("dsfm_st:none"), "--seed",
+                 "1", "--dataset", dataset_path,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert loaded == [dataset_path]
+
+
 def test_inspect_rejects_non_dsf_model(tmp_path, cfg_path, dataset_path):
     assert main(["inspect", "--config", cfg_path(), "--seed", "1",
                  "--dataset", dataset_path,
@@ -371,8 +386,8 @@ def test_sweep_rejects_non_finite_outputs_in_one_line(tmp_path, cfg_path,
     path = tmp_path / "huge.cfg"
     path.write_text(Path(cfg_path(models)).read_text()
                     + "sigma_range_uv = 1e200, 1e200\n")
-    [(_, _, seed, _)] = sweep_units(load_experiment_config(str(path))[1])
-    error = error.format(seed=seed)
+    [unit] = sweep_units(load_experiment_config(str(path))[1], 3)
+    error = error.format(seed=unit.seed)
     out = tmp_path / "results.csv"
     # capfd sees the file descriptors, so numpy warnings printed by a
     # worker process count too.

@@ -1,4 +1,5 @@
 import copy
+import csv
 import multiprocessing as mp
 import pickle
 import platform
@@ -13,9 +14,9 @@ import pytest
 from dsfnet import harness
 from dsfnet.attention import channel_contribution
 from dsfnet.corruption import CorruptionSpec
-from dsfnet.harness import (RANDOM_MASK, RESULT_HEADER, DeepModel,
-                            ExperimentConfig, FeatureModel, _cell_spec,
-                            accuracy, balanced_accuracy, cell_seed,
+from dsfnet.harness import (DEEP_MODELS, RANDOM_MASK, RESULT_HEADER,
+                            DeepModel, ExperimentConfig, FeatureModel, Unit,
+                            _cell_spec, accuracy, balanced_accuracy, cell_seed,
                             class_weight_vector, compute_metric,
                             corrupt_test_recordings, evaluate_cell,
                             inspect_filters, keep_freed_memory, run_sweep,
@@ -492,25 +493,56 @@ def test_run_sweep_rows_follow_sweep_units(tmp_path):
                        eta_grid=(0.5, 1.0), count_grid=(RANDOM_MASK, 1))
     cfg.c_prime_grid = (2, 3)
     seeds = [derive_seed(cfg.master_seed, 100 + k) for k in range(2)]
-    units = sweep_units(cfg)
-    assert units == [("dsfd", "none", seeds[0], 2),
-                     ("dsfd", "none", seeds[1], 2),
-                     ("dsfd", "none", seeds[0], 3),
-                     ("dsfd", "none", seeds[1], 3),
-                     ("handcrafted", "none", seeds[0], None),
-                     ("handcrafted", "none", seeds[1], None)]
+    units = sweep_units(cfg, ds.config.n_channels)
+    assert units == [Unit("dsfd", "none", seeds[0], 2),
+                     Unit("dsfd", "none", seeds[1], 2),
+                     Unit("dsfd", "none", seeds[0], 3),
+                     Unit("dsfd", "none", seeds[1], 3),
+                     Unit("handcrafted", "none", seeds[0], 0),
+                     Unit("handcrafted", "none", seeds[1], 0)]
     rows = run_sweep(cfg, ds, str(tmp_path / "r.csv"))
     expected = {}
     for unit in units:
         model, _ = train_model_unit(cfg, ds, *unit)
         for eta in cfg.eta_grid:
             for count in cfg.count_grid:
-                expected[unit[0], unit[2], model.c_prime, eta, count] = \
+                expected[unit.name, unit.seed, unit.c_prime, eta, count] = \
                     evaluate_cell(model, ds.split("test"),
                                   _cell_spec(cfg, eta, count),
-                                  cell_seed(unit[2]), cfg.metric)
+                                  cell_seed(unit.seed), cfg.metric)
     assert {(r.model, r.seed, r.c_prime, r.eta, r.n_corrupted): r.value
             for r in rows} == expected
+
+
+@pytest.mark.parametrize("name,grid,c_primes", [
+    ("dsfd", (), [3]), ("dsfd", (2, 3), [2, 3]), ("vanilla", (2, 3), [0]),
+    ("dynamic", (2, 3), [0]), ("riemann", (2, 3), [0])])
+def test_unit_c_prime_is_the_csv_c_prime(tmp_path, monkeypatch, name, grid,
+                                         c_primes):
+    # C' = C is the channel count and no virtual channels is 0, in the
+    # unit, in the CSV and on a deep model alike.
+    ds = tiny_dataset()
+    cfg = sweep_config([(name, "none")], n_seeds=2, eta_grid=(0.0,))
+    cfg.c_prime_grid = grid
+    units = sweep_units(cfg, ds.config.n_channels)
+    assert [unit.c_prime for unit in units] == [c for c in c_primes
+                                                for _ in range(2)]
+    models = {}
+
+    def spy(cfg, dataset, *unit):
+        models[unit] = train_model_unit(cfg, dataset, *unit)[0]
+        return models[unit], None
+    monkeypatch.setattr(harness, "train_model_unit", spy)
+    out = tmp_path / "r.csv"
+    run_sweep(cfg, ds, str(out))
+    with open(out) as f:
+        column = [(int(r["seed"]), int(r["c_prime"]))
+                  for r in csv.DictReader(f)]
+    assert sorted(column) == sorted((u.seed, u.c_prime) for u in units)
+    assert list(models) == units
+    if name in DEEP_MODELS:
+        assert [m.c_prime for m in models.values()] == [
+            u.c_prime for u in units]
 
 
 def spy_scored_windows(monkeypatch):
@@ -681,6 +713,30 @@ def test_run_sweep_rejects_count_above_channels_before_training(
     with pytest.raises(ValueError, match=r"^count_grid must be in \[-1, 3\] "
                        r"\(the dataset has 3 channels\), got 4$"):
         run_sweep(cfg, tiny_dataset(), str(tmp_path / "r.csv"))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_sweep_holds_riemann_to_nyquist_before_training(
+        tmp_path, monkeypatch, jobs):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a unit")
+    monkeypatch.setattr(harness, "train_model_unit", no_training)
+
+    def dataset(sfreq):
+        return split_dataset(generate_dataset(SynthConfig(
+            n_channels=3, n_times=128, n_recordings=8,
+            windows_per_recording=2, sfreq=sfreq), 0), (0.5, 0.25, 0.25), 0)
+    cfg = sweep_config([("vanilla", "none"), ("riemann", "none")])
+    with pytest.raises(ValueError, match=r"^sfreq must be >= 98 \(the "
+                       r"riemann bands reach 49 Hz\), got 90.0$"):
+        run_sweep(cfg, dataset(90.0), str(tmp_path / "r.csv"), jobs=jobs)
+    # At twice the top band edge, or without a riemann unit, the sweep
+    # reaches training.
+    for models, sfreq in (([("riemann", "none")], 98.0),
+                          ([("handcrafted", "none")], 90.0)):
+        with pytest.raises(AssertionError, match="trained a unit"):
+            run_sweep(sweep_config(models), dataset(sfreq),
+                      str(tmp_path / "r.csv"))
 
 
 def test_non_finite_loss_names_model_seed_epoch_and_batch():

@@ -48,9 +48,9 @@ def test_adjacent_generator_seeds_share_no_recording():
 
 
 def test_sweep_units_of_adjacent_masters_share_no_seed():
-    seeds = [seed for master in range(10)
-             for _, _, seed, _ in sweep_units(
-                 ExperimentConfig(n_seeds=3, master_seed=master))]
+    seeds = [unit.seed for master in range(10)
+             for unit in sweep_units(
+                 ExperimentConfig(n_seeds=3, master_seed=master), 6)]
     assert len(set(seeds)) == len(seeds) == 30
 
 

@@ -200,6 +200,18 @@ def test_split_validation():
         split_dataset(ds, (0.5, 0.2, 0.2), seed=0)
 
 
+@pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.25, 0.25, 0.25, 0.25),
+                                       (1.0,)])
+def test_split_takes_exactly_three_fractions(fractions):
+    # Two shares left no test split, a fourth was folded into test, and
+    # one raised a bare IndexError.
+    ds = generate_dataset(TINY, seed=0)
+    with pytest.raises(ValueError, match=r"^fractions must be three shares "
+                       r"\(train, valid, test\), got "
+                       + re.escape(str(fractions)) + "$"):
+        split_dataset(ds, fractions, seed=0)
+
+
 def test_windows_and_labels():
     ds = split_dataset(generate_dataset(TINY, seed=0), (0.5, 0.25, 0.25), 0)
     X, y = ds.windows_and_labels("train")
